@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race lint fuzz-smoke bench-smoke bench-regress fault-smoke serve-smoke federate-smoke trace-smoke
+.PHONY: build test race lint fuzz-smoke bench-smoke bench-regress perfbench-smoke fault-smoke serve-smoke federate-smoke trace-smoke
 
 build:
 	$(GO) build ./...
@@ -27,12 +27,30 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMTARoundTrip -fuzztime 10s ./internal/mta/
 	$(GO) test -run '^$$' -fuzz FuzzEDCDetect -fuzztime 10s ./internal/edc/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/tracestore/
+	$(GO) test -run '^$$' -fuzz FuzzSchedulerIndex -fuzztime 10s ./internal/memctrl/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
 
 bench-regress:
 	$(GO) run ./cmd/smores-bench -compare BENCH_baseline.json -tolerance 5%
+
+# perfbench-smoke runs two benchmark workloads for one second each and
+# demands correct ops, zero failed ops, and the seed-1 untraced output
+# digests recorded in perfbench/LEDGER.md: end-to-end bit-identity of the
+# Table V sweep and the sharded LLC fleet. Needs jq.
+PERFBENCH_DIGESTS = table5=a8377d97061de9f4a9bd18ea171d6808 sharded8_llc=9b9cda650ebe6c4f215690868606813b
+
+perfbench-smoke:
+	@for pair in $(PERFBENCH_DIGESTS); do \
+		w=$${pair%%=*}; want=$${pair#*=}; \
+		out=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 --trace 0) || exit 1; \
+		echo "$$out"; \
+		echo "$$out" | head -n 1 | jq -e --arg d $$want '.digest == $$d' >/dev/null || \
+			{ echo "$$w: output digest is not $$want"; exit 1; }; \
+		echo "$$out" | tail -n 1 | jq -e '.correct == true and .failed == 0' >/dev/null || \
+			{ echo "$$w: incorrect or failed ops"; exit 1; }; \
+	done
 
 # fault-smoke runs a small Monte Carlo fault campaign and gates on the
 # link-reliability promise: with EDC enabled, a 1e-4 error rate must

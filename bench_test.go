@@ -398,6 +398,10 @@ func BenchmarkChannelExpectedMode(b *testing.B) {
 	}
 }
 
+// BenchmarkControllerTick offers one bfs access per tick, retrying a
+// request the full queue rejected instead of dropping it, so the queues
+// cycle as under the GPU driver. Retired requests are recycled, leaving
+// the controller's own allocations in the report.
 func BenchmarkControllerTick(b *testing.B) {
 	ctrl, err := memctrl.New(memctrl.Config{
 		Policy: memctrl.SMOREs,
@@ -406,19 +410,34 @@ func BenchmarkControllerTick(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var free []*memctrl.Request
+	recycle := func(r *memctrl.Request) { free = append(free, r) }
+	ctrl.OnReadDone(recycle)
+	ctrl.OnWriteDone(recycle)
 	p, _ := workload.ByName("bfs")
 	gen, err := workload.NewGenerator(p, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
+	var pending *memctrl.Request
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if a, ok := gen.Next(); ok {
-			kind := memctrl.Read
-			if a.Write {
-				kind = memctrl.Write
+		if pending == nil {
+			if a, ok := gen.Next(); ok {
+				if n := len(free); n > 0 {
+					pending, free = free[n-1], free[:n-1]
+				} else {
+					pending = new(memctrl.Request)
+				}
+				*pending = memctrl.Request{ID: uint64(i), Kind: memctrl.Read, Sector: a.Sector}
+				if a.Write {
+					pending.Kind = memctrl.Write
+				}
 			}
-			ctrl.Enqueue(&memctrl.Request{ID: uint64(i), Kind: kind, Sector: a.Sector})
+		}
+		if pending != nil && ctrl.Enqueue(pending) {
+			pending = nil
 		}
 		ctrl.Tick()
 	}

@@ -31,6 +31,7 @@ type Device struct {
 type bank struct {
 	open     bool
 	row      uint32
+	group    int   // bank group, cached so readiness queries skip Timing
 	actReady int64 // earliest ACTIVATE
 	colReady int64 // earliest READ/WRITE after ACTIVATE (tRCD)
 	preReady int64 // earliest PRECHARGE
@@ -48,6 +49,9 @@ func NewDevice(t Timing) (*Device, error) {
 		lastCol:  -1 << 40,
 		refDue:   t.TREFI,
 		refDuePB: t.TREFI / int64(t.Banks),
+	}
+	for b := range d.banks {
+		d.banks[b].group = t.BankGroup(b)
 	}
 	return d, nil
 }
@@ -101,7 +105,7 @@ func (d *Device) Activate(b int, row uint32, now int64) error {
 }
 
 // colSpacingOK enforces tCCD_S/tCCD_L and bus-turnaround spacing between
-// column commands.
+// column commands. bankGroup -1 matches no group, so only tCCD_S applies.
 func (d *Device) colSpacingOK(now int64, write bool, bankGroup int) bool {
 	if !d.anyCol {
 		return true
@@ -122,11 +126,25 @@ func (d *Device) colSpacingOK(now int64, write bool, bankGroup int) bool {
 	return true
 }
 
+// ColumnGateOpen reports whether the device-wide column gates — the
+// refresh shadow, the shortest column spacing (tCCD_S) and bus
+// turnaround — admit a column command of the given direction at now.
+// False means no bank can take one; true still leaves the per-bank
+// checks of ColumnReady.
+func (d *Device) ColumnGateOpen(now int64, write bool) bool {
+	return !d.Busy(now) && d.colSpacingOK(now, write, -1)
+}
+
+// ColumnReady reports whether a column command of the given direction to
+// bank b's open row may issue at now (false when the bank is closed).
+func (d *Device) ColumnReady(b int, write bool, now int64) bool {
+	bk := &d.banks[b]
+	return !d.Busy(now) && bk.open && now >= bk.colReady && d.colSpacingOK(now, write, bk.group)
+}
+
 // CanRead reports whether READ(addr) may issue at now.
 func (d *Device) CanRead(addr Address, now int64) bool {
-	bk := &d.banks[addr.Bank]
-	return !d.Busy(now) && bk.open && bk.row == addr.Row &&
-		now >= bk.colReady && d.colSpacingOK(now, false, d.t.BankGroup(addr.Bank))
+	return d.RowHit(addr) && d.ColumnReady(addr.Bank, false, now)
 }
 
 // Read issues a column read.
@@ -140,7 +158,7 @@ func (d *Device) Read(addr Address, now int64) error {
 	}
 	d.lastCol = now
 	d.lastColWr = false
-	d.lastColBG = d.t.BankGroup(addr.Bank)
+	d.lastColBG = bk.group
 	d.anyCol = true
 	d.reads++
 	if d.m != nil {
@@ -152,9 +170,7 @@ func (d *Device) Read(addr Address, now int64) error {
 
 // CanWrite reports whether WRITE(addr) may issue at now.
 func (d *Device) CanWrite(addr Address, now int64) bool {
-	bk := &d.banks[addr.Bank]
-	return !d.Busy(now) && bk.open && bk.row == addr.Row &&
-		now >= bk.colReady && d.colSpacingOK(now, true, d.t.BankGroup(addr.Bank))
+	return d.RowHit(addr) && d.ColumnReady(addr.Bank, true, now)
 }
 
 // Write issues a column write.
@@ -168,7 +184,7 @@ func (d *Device) Write(addr Address, now int64) error {
 	}
 	d.lastCol = now
 	d.lastColWr = true
-	d.lastColBG = d.t.BankGroup(addr.Bank)
+	d.lastColBG = bk.group
 	d.anyCol = true
 	d.writes++
 	if d.m != nil {
@@ -311,18 +327,19 @@ func (d *Device) RefreshDueAt() int64 { return d.refDue }
 // per-bank refresh becomes due.
 func (d *Device) PerBankRefreshDueAt() int64 { return d.refDuePB }
 
-// ColumnReadyAt returns the first clock at which a column command to addr
-// could issue, or -1 when the bank is closed or holds a different row
-// (an ACT/PRE must happen first — itself an event).
-func (d *Device) ColumnReadyAt(addr Address, write bool) int64 {
-	bk := &d.banks[addr.Bank]
-	if !bk.open || bk.row != addr.Row {
+// ColumnReadyAt returns the first clock at which a column command of the
+// given direction to bank b's open row could issue, or -1 when the bank
+// is closed (an ACT must happen first — itself an event). Callers ask
+// only for banks whose open row a request targets.
+func (d *Device) ColumnReadyAt(b int, write bool) int64 {
+	bk := &d.banks[b]
+	if !bk.open {
 		return -1
 	}
 	t := bk.colReady
 	if d.anyCol {
 		ccd := d.t.TCCD
-		if d.t.BankGroup(addr.Bank) == d.lastColBG && d.t.TCCDL > ccd {
+		if bk.group == d.lastColBG && d.t.TCCDL > ccd {
 			ccd = d.t.TCCDL
 		}
 		if s := d.lastCol + ccd; s > t {

@@ -122,8 +122,9 @@ func (a Address) String() string {
 // interleave round-robin across banks, and RowSectors/ChunkSectors chunks
 // fill one row per bank before advancing to the next row. Sequential
 // streams therefore both exploit bank-level parallelism and revisit open
-// rows.
-func (t Timing) MapSector(sector uint64) Address {
+// rows. The pointer receiver keeps the per-request call from copying the
+// whole Timing.
+func (t *Timing) MapSector(sector uint64) Address {
 	chunk := sector / uint64(t.ChunkSectors)
 	within := uint32(sector % uint64(t.ChunkSectors))
 	bank := int(chunk % uint64(t.Banks))

@@ -74,11 +74,15 @@ type Driver struct {
 	inflight   int
 	pendingWB  []uint64
 	pendingRd  *memctrl.Request
-	nextAccess *Access
+	nextAccess Access
+	hasNext    bool // nextAccess holds a pulled, not yet issued access
 	thinkLeft  int64
 	reqID      uint64
 	res        RunResult
-	m          *driverMetrics // optional live telemetry (nil when unattached)
+	// free holds requests the controller has retired, for reuse: the
+	// steady-state access path allocates nothing.
+	free []*memctrl.Request
+	m    *driverMetrics // optional live telemetry (nil when unattached)
 }
 
 // NewDriver builds a driver. ctrl must be freshly constructed; the driver
@@ -103,9 +107,32 @@ func NewDriver(cfg DriverConfig, ctrl *memctrl.Controller, gen Generator) (*Driv
 	ctrl.OnReadDone(func(r *memctrl.Request) {
 		d.inflight--
 		d.res.ReplayedReads += int64(r.Replayed)
+		d.release(r)
 	})
+	ctrl.OnWriteDone(d.release)
 	return d, nil
 }
+
+// request returns a fresh request for sector stamped with the next ID,
+// recycled from the free list when one is there. Callers advance reqID
+// only once the request is accepted or parked.
+func (d *Driver) request(kind memctrl.Kind, sector uint64) *memctrl.Request {
+	var r *memctrl.Request
+	if n := len(d.free); n > 0 {
+		r = d.free[n-1]
+		d.free = d.free[:n-1]
+		*r = memctrl.Request{}
+	} else {
+		r = new(memctrl.Request)
+	}
+	r.ID = d.reqID
+	r.Kind = kind
+	r.Sector = sector
+	return r
+}
+
+// release returns a request nobody references any more to the free list.
+func (d *Driver) release(r *memctrl.Request) { d.free = append(d.free, r) }
 
 // Run drives the workload to completion and returns the result.
 func (d *Driver) Run() (RunResult, error) {
@@ -117,21 +144,7 @@ func (d *Driver) Run() (RunResult, error) {
 		if d.res.Clocks >= d.cfg.MaxClocks {
 			return d.res, fmt.Errorf("gpu: run exceeded %d clocks", d.cfg.MaxClocks)
 		}
-		if skip {
-			d.fastForward()
-		}
-		var before RunResult
-		if d.m != nil {
-			before = d.res
-		}
-		progressed := d.step()
-		d.ctrl.Tick()
-		d.res.Clocks++
-		if d.m != nil {
-			d.mirror(before)
-		}
-		if !progressed && d.inflight == 0 && d.nextAccess == nil && d.pendingRd == nil &&
-			len(d.pendingWB) == 0 && d.generatorDone() {
+		if !d.advance(skip) {
 			break
 		}
 	}
@@ -143,6 +156,28 @@ func (d *Driver) Run() (RunResult, error) {
 		d.res.LLC = d.llc.Stats()
 	}
 	return d.res, nil
+}
+
+// advance runs one iteration of the lockstep loop: a fast-forward across
+// inert clocks (when skip is set), then one clock of driver and
+// controller. It reports false once the workload has ended and nothing
+// is left in flight.
+func (d *Driver) advance(skip bool) bool {
+	if skip {
+		d.fastForward()
+	}
+	var before RunResult
+	if d.m != nil {
+		before = d.res
+	}
+	progressed := d.step()
+	d.ctrl.Tick()
+	d.res.Clocks++
+	if d.m != nil {
+		d.mirror(before)
+	}
+	return progressed || d.inflight != 0 || d.hasNext || d.pendingRd != nil ||
+		len(d.pendingWB) != 0 || !d.generatorDone()
 }
 
 // fastForward advances the driver and its controller together across
@@ -219,7 +254,7 @@ func (d *Driver) idleHorizon() (n int64, stall, think bool) {
 	if d.thinkLeft > 0 {
 		return d.thinkLeft, false, true
 	}
-	if d.nextAccess == nil && d.generatorDone() && d.inflight > 0 {
+	if !d.hasNext && d.generatorDone() && d.inflight > 0 {
 		// End-of-workload drain: only completions advance state.
 		return unbounded, false, false
 	}
@@ -249,14 +284,16 @@ func (d *Driver) generatorDone() bool { return d.gen == nil }
 func (d *Driver) step() bool {
 	// Retry backpressured writebacks first (oldest data).
 	for len(d.pendingWB) > 0 {
-		req := &memctrl.Request{ID: d.reqID, Kind: memctrl.Write, Sector: d.pendingWB[0]}
+		req := d.request(memctrl.Write, d.pendingWB[0])
 		if !d.ctrl.Enqueue(req) {
+			d.release(req)
 			d.res.StallClocks++
 			return true
 		}
 		d.reqID++
 		d.res.DRAMWrites++
-		d.pendingWB = d.pendingWB[1:]
+		// Shift in place so the backlog keeps its capacity.
+		d.pendingWB = d.pendingWB[:copy(d.pendingWB, d.pendingWB[1:])]
 	}
 	// Retry a backpressured read miss.
 	if d.pendingRd != nil {
@@ -274,7 +311,7 @@ func (d *Driver) step() bool {
 		return true
 	}
 	// Pull the next access.
-	if d.nextAccess == nil {
+	if !d.hasNext {
 		if d.gen == nil {
 			return d.inflight > 0
 		}
@@ -287,25 +324,26 @@ func (d *Driver) step() bool {
 			d.gen = nil
 			return d.inflight > 0
 		}
-		d.nextAccess = &a
+		d.nextAccess, d.hasNext = a, true
 		if a.Think > 0 {
 			d.thinkLeft = a.Think
 			return true
 		}
 	}
 	// Issue the access through the LLC.
-	a := *d.nextAccess
-	d.nextAccess = nil
+	a := d.nextAccess
+	d.hasNext = false
 	d.res.Accesses++
 	if d.llc == nil {
-		req := &memctrl.Request{ID: d.reqID, Kind: memctrl.Read, Sector: a.Sector}
-		if a.Write {
-			req.Kind = memctrl.Write
+		if !a.Write {
+			d.pendingRd = d.request(memctrl.Read, a.Sector)
+			d.reqID++
+			return true
 		}
+		req := d.request(memctrl.Write, a.Sector)
 		d.reqID++
-		if req.Kind == memctrl.Read {
-			d.pendingRd = req
-		} else if !d.ctrl.Enqueue(req) {
+		if !d.ctrl.Enqueue(req) {
+			d.release(req)
 			d.pendingWB = append(d.pendingWB, a.Sector)
 		} else {
 			d.res.DRAMWrites++
@@ -315,7 +353,7 @@ func (d *Driver) step() bool {
 	needRead, wbs := d.llc.Access(a.Sector, a.Write)
 	d.pendingWB = append(d.pendingWB, wbs...)
 	if needRead {
-		d.pendingRd = &memctrl.Request{ID: d.reqID, Kind: memctrl.Read, Sector: a.Sector}
+		d.pendingRd = d.request(memctrl.Read, a.Sector)
 		d.reqID++
 	}
 	return true

@@ -77,6 +77,7 @@ type LLC struct {
 	perLine int
 	stats   LLCStats
 	m       *llcMetrics // optional live telemetry (nil when unattached)
+	wbs     []uint64    // writeback scratch returned by Access
 }
 
 // NewLLC builds the cache.
@@ -109,7 +110,8 @@ func (l *LLC) mirror(before LLCStats) {
 
 // Access performs one sector access. It returns whether the access missed
 // (needs a DRAM read — only for read misses) and any dirty sectors
-// written back by an eviction.
+// written back by an eviction. The writeback slice is scratch that the
+// next Access reuses: callers copy out what they keep.
 func (l *LLC) Access(sector uint64, write bool) (dramRead bool, writebacks []uint64) {
 	if l.m != nil {
 		defer l.mirror(l.stats) // argument snapshots the pre-access stats
@@ -167,12 +169,14 @@ func (l *LLC) Access(sector uint64, write bool) (dramRead bool, writebacks []uin
 		l.stats.Evictions++
 		if ln.dirty != 0 {
 			base := (ln.tag*uint64(len(l.sets)) + setIdx) * uint64(l.perLine)
+			writebacks = l.wbs[:0]
 			for s := 0; s < l.perLine; s++ {
 				if ln.dirty&(1<<uint(s)) != 0 {
 					writebacks = append(writebacks, base+uint64(s))
 					l.stats.Writebacks++
 				}
 			}
+			l.wbs = writebacks
 		}
 	}
 	*ln = llcLine{tag: tag, valid: true, lru: l.tick}

@@ -2,6 +2,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smores/internal/bus"
 	"smores/internal/core"
@@ -95,6 +96,9 @@ type Controller struct {
 	clock  int64
 	readQ  []*Request
 	writeQ []*Request
+	// ix indexes readQ (ix[Read]) and writeQ (ix[Write]) per bank; see
+	// bankindex.go.
+	ix [2]bankIndex
 
 	writeMode  bool
 	refreshing bool
@@ -136,6 +140,7 @@ type Controller struct {
 
 	completions []*Request // sorted by Done
 	onReadDone  func(*Request)
+	onWriteDone func(*Request)
 
 	readGaps  *stats.Histogram
 	writeGaps *stats.Histogram
@@ -217,8 +222,15 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // OnReadDone registers the completion callback (data fully arrived and
-// decoded). Must be set before ticking if completions matter.
+// decoded). Must be set before ticking if completions matter. The
+// controller holds no reference to the request after the call, so the
+// callback may recycle it.
 func (c *Controller) OnReadDone(f func(*Request)) { c.onReadDone = f }
+
+// OnWriteDone registers the callback that retires a write once its burst
+// (and any EDC replay of it) has been sent. As with OnReadDone, the
+// controller holds no reference to the request after the call.
+func (c *Controller) OnWriteDone(f func(*Request)) { c.onWriteDone = f }
 
 // Clock returns the current command clock.
 func (c *Controller) Clock() int64 { return c.clock }
@@ -266,6 +278,7 @@ func (c *Controller) Enqueue(r *Request) bool {
 	default:
 		panic("memctrl: unknown request kind")
 	}
+	c.ix[r.Kind].add(r.Addr.Bank, c.dev.RowHit(r.Addr))
 	return true
 }
 
@@ -334,7 +347,7 @@ func (c *Controller) Tick() {
 		// an ACT started in a free slot spills into the next column slot
 		// and slips that transfer by one clock — the paper's §IV-A
 		// dominant source of one-clock data-bus gaps.
-		if c.issueColumn() || c.issuePrep(c.activeQueue()) || c.issuePrep(c.inactiveQueue()) ||
+		if c.issueColumn() || c.issuePrep(c.activeKind()) || c.issuePrep(c.activeKind()^1) ||
 			c.issueClosePage() {
 			c.clock++
 			return
@@ -388,18 +401,57 @@ func (c *Controller) skipThenTick(limit int64) bool {
 	return true
 }
 
-func (c *Controller) activeQueue() *[]*Request {
+// activeKind is the direction the scheduler is serving: writes while
+// draining the write buffer, reads otherwise.
+func (c *Controller) activeKind() Kind {
 	if c.writeMode {
+		return Write
+	}
+	return Read
+}
+
+// queue returns the request queue of one direction.
+func (c *Controller) queue(k Kind) *[]*Request {
+	if k == Write {
 		return &c.writeQ
 	}
 	return &c.readQ
 }
 
-func (c *Controller) inactiveQueue() *[]*Request {
-	if c.writeMode {
-		return &c.readQ
+// dataLatency is the column-command-to-data delay of one direction,
+// including the codec pipeline.
+func (c *Controller) dataLatency(k Kind) int64 {
+	if k == Write {
+		return c.cfg.Timing.WL + c.cfg.ExtraCodecLatency
 	}
-	return &c.writeQ
+	return c.cfg.Timing.RL + c.cfg.ExtraCodecLatency
+}
+
+// precharge closes bank b and drops its row hits from the index.
+func (c *Controller) precharge(b int) {
+	if err := c.dev.Precharge(b, c.clock); err != nil {
+		panic("memctrl: " + err.Error())
+	}
+	c.ix[Read].closed(b)
+	c.ix[Write].closed(b)
+	if c.tr != nil {
+		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
+			Channel: c.chanID, Bank: int32(b)})
+	}
+}
+
+// activate opens row in bank b and recounts the bank's row hits.
+func (c *Controller) activate(b int, row uint32) {
+	if err := c.dev.Activate(b, row, c.clock); err != nil {
+		panic("memctrl: " + err.Error())
+	}
+	c.cmdBusyTill = c.clock + 2 // ACT is a two-clock command
+	c.ix[Read].opened(b, row, c.readQ)
+	c.ix[Write].opened(b, row, c.writeQ)
+	if c.tr != nil {
+		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 2, Type: obs.EvACT,
+			Channel: c.chanID, Bank: int32(b), Arg: int64(row)})
+	}
 }
 
 func (c *Controller) updateMode() {
@@ -430,13 +482,7 @@ func (c *Controller) issueForRefresh() bool {
 	}
 	for b := 0; b < c.cfg.Timing.Banks; b++ {
 		if _, open := c.dev.OpenRow(b); open && c.dev.CanPrecharge(b, c.clock) {
-			if err := c.dev.Precharge(b, c.clock); err != nil {
-				panic("memctrl: " + err.Error())
-			}
-			if c.tr != nil {
-				c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
-					Channel: c.chanID, Bank: int32(b)})
-			}
+			c.precharge(b)
 			return true
 		}
 	}
@@ -447,93 +493,123 @@ func (c *Controller) issueForRefresh() bool {
 // (FR-FCFS: the queue scan naturally prefers older requests; row hits are
 // the only issuable ones).
 func (c *Controller) issueColumn() bool {
-	q := c.activeQueue()
-	for i, r := range *q {
-		var ok bool
-		lat := c.cfg.Timing.RL
-		if r.Kind == Read {
-			ok = c.dev.CanRead(r.Addr, c.clock)
-		} else {
-			lat = c.cfg.Timing.WL
-			ok = c.dev.CanWrite(r.Addr, c.clock)
-		}
-		lat += c.cfg.ExtraCodecLatency // must match placeTransfer's data start
-		// Hold the command if its data would start inside a booked slot
-		// (e.g. a read stretched across a gap; write data is buffered).
-		if ok && c.clock+lat < c.busReservedUntil {
-			ok = false
-		}
-		if !ok {
-			continue
-		}
-		var err error
-		if r.Kind == Read {
-			err = c.dev.Read(r.Addr, c.clock)
-		} else {
-			err = c.dev.Write(r.Addr, c.clock)
-		}
-		if err != nil {
-			panic("memctrl: " + err.Error())
-		}
-		if c.tr != nil {
-			ev := obs.EvRD
-			if r.Kind == Write {
-				ev = obs.EvWR
-			}
-			c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: ev,
-				Channel: c.chanID, Bank: int32(r.Addr.Bank), Arg: int64(r.Addr.Row)})
-		}
-		*q = append((*q)[:i], (*q)[i+1:]...)
-		c.placeTransfer(r)
-		return true
+	k := c.activeKind()
+	i := c.pickColumn(k)
+	if i < 0 {
+		return false
 	}
-	return false
+	q := c.queue(k)
+	r := (*q)[i]
+	var err error
+	if k == Read {
+		err = c.dev.Read(r.Addr, c.clock)
+	} else {
+		err = c.dev.Write(r.Addr, c.clock)
+	}
+	if err != nil {
+		panic("memctrl: " + err.Error())
+	}
+	if c.tr != nil {
+		ev := obs.EvRD
+		if k == Write {
+			ev = obs.EvWR
+		}
+		c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: ev,
+			Channel: c.chanID, Bank: int32(r.Addr.Bank), Arg: int64(r.Addr.Row)})
+	}
+	*q = append((*q)[:i], (*q)[i+1:]...)
+	c.ix[k].removeHit(r.Addr.Bank)
+	c.placeTransfer(r)
+	return true
 }
 
-// issuePrep issues one PRECHARGE or ACTIVATE needed by the queue, oldest
-// request first. Activates get command-bus priority over column commands
-// at the call site ordering in Tick — per the paper, GPU controllers
-// prioritize activates to sustain bank-level parallelism, and those stolen
-// command slots are the dominant source of one-clock data-bus gaps.
-func (c *Controller) issuePrep(q *[]*Request) bool {
-	// Per-bank dedup via a bitmask: banks are ≤ 64 (validated), and the
-	// mask keeps this per-tick path allocation-free (it used to build a
-	// map here — the single hottest allocation site in a fleet run).
-	var prepped uint64
-	for _, r := range *q {
-		if prepped&(1<<uint(r.Addr.Bank)) != 0 {
-			continue
-		}
-		prepped |= 1 << uint(r.Addr.Bank)
-		if c.dev.RowHit(r.Addr) {
-			continue
-		}
-		if c.dev.NeedsPrecharge(r.Addr) {
-			if c.dev.CanPrecharge(r.Addr.Bank, c.clock) {
-				if err := c.dev.Precharge(r.Addr.Bank, c.clock); err != nil {
-					panic("memctrl: " + err.Error())
-				}
-				if c.tr != nil {
-					c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
-						Channel: c.chanID, Bank: int32(r.Addr.Bank)})
-				}
-				return true
-			}
-			continue
-		}
-		if c.dev.CanActivate(r.Addr.Bank, c.clock) {
-			if err := c.dev.Activate(r.Addr.Bank, r.Addr.Row, c.clock); err != nil {
-				panic("memctrl: " + err.Error())
-			}
-			c.cmdBusyTill = c.clock + 2 // ACT is a two-clock command
-			if c.tr != nil {
-				c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 2, Type: obs.EvACT,
-					Channel: c.chanID, Bank: int32(r.Addr.Bank), Arg: int64(r.Addr.Row)})
-			}
-			return true
+// pickColumn returns the queue position of the oldest request of
+// direction k whose column command may issue this clock, or -1. A row
+// hit's legality depends only on its bank, so the queue is scanned only
+// once some bank is known to be ready.
+//
+//smores:hotpath
+func (c *Controller) pickColumn(k Kind) int {
+	x := &c.ix[k]
+	write := k == Write
+	// Hold the command if its data would start inside a booked slot
+	// (e.g. a read stretched across a gap; write data is buffered). The
+	// hold and the device-wide spacing gates block every bank alike.
+	if x.hits == 0 || c.clock+c.dataLatency(k) < c.busReservedUntil ||
+		!c.dev.ColumnGateOpen(c.clock, write) {
+		return -1
+	}
+	var ready uint64
+	for m := x.hits; m != 0; m &= m - 1 {
+		if b := bits.TrailingZeros64(m); c.dev.ColumnReady(b, write, c.clock) {
+			ready |= 1 << uint(b)
 		}
 	}
-	return false
+	if ready == 0 {
+		return -1
+	}
+	for i, r := range *c.queue(k) {
+		if ready&(1<<uint(r.Addr.Bank)) != 0 && c.dev.RowHit(r.Addr) {
+			return i
+		}
+	}
+	return -1
+}
+
+// issuePrep issues one PRECHARGE or ACTIVATE needed by the queue of
+// direction k, oldest request first. Activates get command-bus priority
+// over column commands at the call site ordering in Tick — per the
+// paper, GPU controllers prioritize activates to sustain bank-level
+// parallelism, and those stolen command slots are the dominant source of
+// one-clock data-bus gaps.
+func (c *Controller) issuePrep(k Kind) bool {
+	i := c.pickPrep(k)
+	if i < 0 {
+		return false
+	}
+	a := (*c.queue(k))[i].Addr
+	if _, open := c.dev.OpenRow(a.Bank); open {
+		c.precharge(a.Bank)
+	} else {
+		c.activate(a.Bank, a.Row)
+	}
+	return true
+}
+
+// pickPrep returns the queue position of the request whose PRE or ACT
+// issues this clock, or -1. Only each bank's oldest request counts
+// (per-bank dedup): a bank whose oldest request is a row hit is left
+// alone. The scan runs only when some bank with a queued miss can take
+// its PRE or ACT now.
+//
+//smores:hotpath
+func (c *Controller) pickPrep(k Kind) int {
+	var ready uint64
+	for m := c.ix[k].misses; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		_, open := c.dev.OpenRow(b)
+		if (open && c.dev.CanPrecharge(b, c.clock)) || (!open && c.dev.CanActivate(b, c.clock)) {
+			ready |= 1 << uint(b)
+		}
+	}
+	if ready == 0 {
+		return -1
+	}
+	var seen uint64
+	for i, r := range *c.queue(k) {
+		bit := uint64(1) << uint(r.Addr.Bank)
+		if seen&bit != 0 {
+			continue
+		}
+		seen |= bit
+		if ready&bit != 0 && !c.dev.RowHit(r.Addr) {
+			return i
+		}
+		if seen&ready == ready {
+			break
+		}
+	}
+	return -1
 }
 
 // issuePerBankRefresh services round-robin REFpb when due: close the
@@ -546,13 +622,7 @@ func (c *Controller) issuePerBankRefresh() bool {
 	b := c.dev.NextRefreshBank()
 	if _, open := c.dev.OpenRow(b); open {
 		if c.dev.CanPrecharge(b, c.clock) {
-			if err := c.dev.Precharge(b, c.clock); err != nil {
-				panic("memctrl: " + err.Error())
-			}
-			if c.tr != nil {
-				c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
-					Channel: c.chanID, Bank: int32(b)})
-			}
+			c.precharge(b)
 			return true
 		}
 		return false
@@ -573,51 +643,38 @@ func (c *Controller) issuePerBankRefresh() bool {
 // issueClosePage implements the ClosedPage ablation: precharge any open
 // bank whose row no queued request wants.
 func (c *Controller) issueClosePage() bool {
-	if c.cfg.Pages != ClosedPage {
+	b := c.pickClosePage()
+	if b < 0 {
 		return false
 	}
-	for b := 0; b < c.cfg.Timing.Banks; b++ {
-		row, open := c.dev.OpenRow(b)
-		if !open || !c.dev.CanPrecharge(b, c.clock) {
-			continue
-		}
-		wanted := false
-		for _, q := range []*[]*Request{&c.readQ, &c.writeQ} {
-			for _, r := range *q {
-				if r.Addr.Bank == b && r.Addr.Row == row {
-					wanted = true
-					break
-				}
-			}
-			if wanted {
-				break
-			}
-		}
-		if wanted {
-			continue
-		}
-		if err := c.dev.Precharge(b, c.clock); err != nil {
-			panic("memctrl: " + err.Error())
-		}
-		if c.tr != nil {
-			c.tr.Emit(obs.TraceEvent{Cycle: c.clock, Dur: 1, Type: obs.EvPRE,
-				Channel: c.chanID, Bank: int32(b)})
-		}
-		return true
+	c.precharge(b)
+	return true
+}
+
+// pickClosePage returns the lowest open bank that ClosedPage precharges
+// this clock, or -1. A bank is wanted exactly when the index counts a
+// queued row hit in it.
+func (c *Controller) pickClosePage() int {
+	if c.cfg.Pages != ClosedPage {
+		return -1
 	}
-	return false
+	wanted := c.ix[Read].hits | c.ix[Write].hits
+	for b := 0; b < c.cfg.Timing.Banks; b++ {
+		if wanted&(1<<uint(b)) != 0 {
+			continue
+		}
+		if _, open := c.dev.OpenRow(b); open && c.dev.CanPrecharge(b, c.clock) {
+			return b
+		}
+	}
+	return -1
 }
 
 // placeTransfer books the data slot for a just-issued column command,
 // decides the previous pending transfer's encoding, and accounts the idle
 // span between them.
 func (c *Controller) placeTransfer(r *Request) {
-	lat := c.cfg.Timing.RL
-	if r.Kind == Write {
-		lat = c.cfg.Timing.WL
-	}
-	lat += c.cfg.ExtraCodecLatency
-	x := xfer{req: r, cmdAt: c.clock, dataStart: c.clock + lat, kind: r.Kind}
+	x := xfer{req: r, cmdAt: c.clock, dataStart: c.clock + c.dataLatency(r.Kind), kind: r.Kind}
 	r.IssuedAt = c.clock
 	r.DataStart = x.dataStart
 
@@ -684,7 +741,7 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	p.decided = true
 	p.codeLen = codeLen
 	p.postamble = codeLen == 0 && gap > 0 && c.cfg.Policy != OptimizedMTA
-	p.req.CodeLength = codeLen
+	p.req.CodeLength = uint8(codeLen)
 	if end := p.dataStart + int64(core.SlotClocks(codeLen)); end > c.busReservedUntil {
 		c.busReservedUntil = end
 	}
@@ -744,12 +801,19 @@ func (c *Controller) decidePending(gap, gpuGap int, known bool, nextKind Kind) {
 	c.lastCodeLen = codeLen
 	c.haveBurst = true
 
+	// The decided transfer no longer needs its request: a read waits in
+	// the completion list, a write retires to its owner now.
+	r := p.req
+	p.req = nil
 	if p.kind == Read {
-		p.req.Done = p.dataStart + int64(core.SlotClocks(codeLen)) + p.replayClocks
-		c.scheduleCompletion(p.req)
+		r.Done = p.dataStart + int64(core.SlotClocks(codeLen)) + p.replayClocks
+		c.scheduleCompletion(r)
 	} else {
 		c.st.WritesServed++
 		c.m.writesServed.Inc()
+		if c.onWriteDone != nil {
+			c.onWriteDone(r)
+		}
 	}
 }
 
@@ -837,10 +901,15 @@ func (c *Controller) scheduleCompletion(r *Request) {
 	c.completions[i] = r
 }
 
+// deliverCompletions retires every read whose data has arrived. The list
+// shifts in place, so it keeps its capacity (a reslice from the front
+// would make the next scheduleCompletion reallocate).
 func (c *Controller) deliverCompletions() {
-	for len(c.completions) > 0 && c.completions[0].Done <= c.clock {
-		r := c.completions[0]
-		c.completions = c.completions[1:]
+	n := 0
+	for n < len(c.completions) && c.completions[n].Done <= c.clock {
+		r := c.completions[n]
+		c.completions[n] = nil
+		n++
 		c.st.ReadsServed++
 		c.st.ReadLatencySum += r.Done - r.Arrive
 		c.m.readsServed.Inc()
@@ -848,6 +917,9 @@ func (c *Controller) deliverCompletions() {
 		if c.onReadDone != nil {
 			c.onReadDone(r)
 		}
+	}
+	if n > 0 {
+		c.completions = c.completions[:copy(c.completions, c.completions[n:])]
 	}
 }
 

@@ -1,5 +1,7 @@
 package memctrl
 
+import "math/bits"
+
 // Next-event skipping: between commands the controller/device state is
 // static, so Tick is inert (clock advance plus idempotent gauge writes)
 // until the earliest of: a read completion delivering, the pending
@@ -119,39 +121,47 @@ func clampNow(next, now int64) int64 {
 // occur by time alone (empty queues). The bound is conservative: it
 // ignores FR-FCFS ordering, per-bank prep dedup, and the active/inactive
 // queue split, all of which can only delay the real issue past the bound.
+// Every request to one bank in one queue shares its ready clock (row hits
+// the column one, misses the PRE or ACT one), so the bank index answers
+// in O(banks).
+//
+//smores:hotpath
 func (c *Controller) nextIssueReady() int64 {
 	next := int64(-1)
-	better := func(t int64) {
-		if t >= 0 && (next < 0 || t < next) {
-			next = t
+	for k := Read; k <= Write; k++ {
+		x := &c.ix[k]
+		// issueColumn holds commands whose data would start inside a
+		// booked (stretched) slot.
+		hold := c.busReservedUntil - c.dataLatency(k)
+		for m := x.hits; m != 0; m &= m - 1 {
+			t := c.dev.ColumnReadyAt(bits.TrailingZeros64(m), k == Write)
+			if hold > t {
+				t = hold
+			}
+			next = earliest(next, t)
 		}
-	}
-	for qi, q := range [2]*[]*Request{&c.readQ, &c.writeQ} {
-		write := qi == 1
-		lat := c.cfg.Timing.RL
-		if write {
-			lat = c.cfg.Timing.WL
-		}
-		lat += c.cfg.ExtraCodecLatency
-		for _, r := range *q {
-			if t := c.dev.ColumnReadyAt(r.Addr, write); t >= 0 {
-				// issueColumn holds commands whose data would start inside
-				// a booked (stretched) slot.
-				if hold := c.busReservedUntil - lat; hold > t {
-					t = hold
-				}
-				better(t)
-			} else if c.dev.NeedsPrecharge(r.Addr) {
-				better(c.dev.PrechargeReadyAt(r.Addr.Bank))
+		for m := x.misses; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros64(m)
+			if _, open := c.dev.OpenRow(b); open {
+				next = earliest(next, c.dev.PrechargeReadyAt(b))
 			} else {
-				better(c.dev.ActivateReadyAt(r.Addr.Bank))
+				next = earliest(next, c.dev.ActivateReadyAt(b))
 			}
 		}
 	}
 	if c.cfg.Pages == ClosedPage {
 		for b := 0; b < c.cfg.Timing.Banks; b++ {
-			better(c.dev.PrechargeReadyAt(b))
+			next = earliest(next, c.dev.PrechargeReadyAt(b))
 		}
+	}
+	return next
+}
+
+// earliest folds a ready clock t (-1 = never) into the running minimum
+// next (-1 = none yet).
+func earliest(next, t int64) int64 {
+	if t >= 0 && (next < 0 || t < next) {
+		return t
 	}
 	return next
 }

@@ -15,6 +15,7 @@ package memctrl
 
 import (
 	"fmt"
+	"math"
 
 	"smores/internal/core"
 )
@@ -58,6 +59,9 @@ func (r ReplayConfig) withDefaults() ReplayConfig {
 func (r ReplayConfig) validate() error {
 	if r.RetryBudget < 0 {
 		return fmt.Errorf("memctrl: negative replay retry budget")
+	}
+	if r.RetryBudget > math.MaxInt32 {
+		return fmt.Errorf("memctrl: replay retry budget %d exceeds Request.Replayed's range", r.RetryBudget)
 	}
 	if r.BackoffClocks < 0 {
 		return fmt.Errorf("memctrl: negative replay backoff")

@@ -33,11 +33,12 @@ func (k Kind) String() string {
 }
 
 // Request is one 32-byte sector transfer requested of the controller.
+// Fields are ordered widest first and the small ones narrowed so a
+// Request stays within 72 bytes (TestRequestSize pins it): drivers
+// allocate or recycle one per DRAM access.
 type Request struct {
 	// ID is a caller-chosen identifier, echoed on completion.
 	ID uint64
-	// Kind selects read or write.
-	Kind Kind
 	// Sector is the linear 32-byte sector index within the channel.
 	Sector uint64
 	// Arrive is the clock at which the request entered the controller.
@@ -51,13 +52,17 @@ type Request struct {
 	IssuedAt int64
 	// DataStart is the clock at which the data slot begins.
 	DataStart int64
-	// CodeLength is the encoding used (0 = MTA).
-	CodeLength int
-	// Replayed counts EDC-triggered retransmissions this request's burst
-	// needed (0 when the link-reliability hook is off or the burst was
-	// clean).
-	Replayed int
 	// Done is the clock at which read data has fully arrived and decoded
 	// (reads only).
 	Done int64
+
+	// Kind selects read or write (set by the caller).
+	Kind Kind
+	// CodeLength is the encoding used (0 = MTA; sparse codes are at most
+	// core.MaxSparseSymbols long).
+	CodeLength uint8
+	// Replayed counts EDC-triggered retransmissions this request's burst
+	// needed (0 when the link-reliability hook is off or the burst was
+	// clean; bounded by ReplayConfig.RetryBudget).
+	Replayed int32
 }

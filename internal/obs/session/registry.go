@@ -155,6 +155,7 @@ func (g *Registry) worker() {
 		} else {
 			g.completed.Inc()
 		}
+		sess.markDone()
 		g.finishSession(sess)
 	}
 }

@@ -293,7 +293,9 @@ func (s *Session) Info() Info {
 
 // run executes the session: spec → fleet runner with the session's
 // observability attached, sampled into the ring at interval until the
-// run completes, then a final full snapshot and ring close.
+// run completes, then a final full snapshot and ring close. It does not
+// signal Done: the registry worker calls markDone once its own counters
+// record the outcome, so a waiter on Done never reads stale counters.
 func (s *Session) run(interval time.Duration) {
 	s.mu.Lock()
 	s.state = StateRunning
@@ -311,8 +313,10 @@ func (s *Session) run(interval time.Duration) {
 	}
 	s.finished = time.Now()
 	s.mu.Unlock()
-	close(s.done)
 }
+
+// markDone closes the Done channel; called once, after run.
+func (s *Session) markDone() { close(s.done) }
 
 func (s *Session) execute(interval time.Duration) error {
 	spec, err := s.spec.RunSpec()

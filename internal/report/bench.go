@@ -37,29 +37,33 @@ const BenchVersion = 1
 // entirely inside scheduler jitter.
 const wallNoiseFloorSeconds = 0.1
 
-// BenchHost fingerprints the machine a report was generated on.
+// BenchHost fingerprints the machine a report was generated on. CPUs is
+// runtime.NumCPU; GOMAXPROCS is the scheduler width the run actually had
+// (0 in reports written before it was recorded).
 type BenchHost struct {
-	Hostname  string `json:"hostname"`
-	OS        string `json:"os"`
-	Arch      string `json:"arch"`
-	CPUs      int    `json:"cpus"`
-	GoVersion string `json:"go_version"`
+	Hostname   string `json:"hostname"`
+	OS         string `json:"os"`
+	Arch       string `json:"arch"`
+	CPUs       int    `json:"cpus"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GoVersion  string `json:"go_version"`
 }
 
 // Fingerprint is the identity used to decide whether machine-dependent
 // metrics (throughput, allocations) are comparable.
 func (h BenchHost) Fingerprint() string {
-	return fmt.Sprintf("%s/%s/%s/%d", h.Hostname, h.OS, h.Arch, h.CPUs)
+	return fmt.Sprintf("%s/%s/%s/%d/%d", h.Hostname, h.OS, h.Arch, h.CPUs, h.GOMAXPROCS)
 }
 
 func benchHost() BenchHost {
 	hn, _ := os.Hostname()
 	return BenchHost{
-		Hostname:  hn,
-		OS:        runtime.GOOS,
-		Arch:      runtime.GOARCH,
-		CPUs:      runtime.NumCPU(),
-		GoVersion: runtime.Version(),
+		Hostname:   hn,
+		OS:         runtime.GOOS,
+		Arch:       runtime.GOARCH,
+		CPUs:       runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		GoVersion:  runtime.Version(),
 	}
 }
 
@@ -462,6 +466,13 @@ func CompareBench(baseline, current BenchReport, energyTol, perfTol float64) (Be
 			cmp.Regressions = append(cmp.Regressions, fmt.Sprintf(
 				"%s: %d allocs vs baseline %d (+%.1f%% > %.1f%% tolerance)",
 				b.Label, c.Allocs, b.Allocs, rel*100, perfTol*100))
+		}
+		// Bytes move without the count when an object crosses a size
+		// class (a grown Request once added +13.6% at flat allocs).
+		if rel := relDelta(float64(c.AllocBytes), float64(b.AllocBytes)); rel > perfTol {
+			cmp.Regressions = append(cmp.Regressions, fmt.Sprintf(
+				"%s: %d alloc bytes vs baseline %d (+%.1f%% > %.1f%% tolerance)",
+				b.Label, c.AllocBytes, b.AllocBytes, rel*100, perfTol*100))
 		}
 	}
 	compareService(&cmp, baseline.Service, current.Service, samePerf, perfTol)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -76,6 +77,35 @@ func TestBenchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBenchHostFingerprint pins what makes two hosts comparable: the
+// scheduler width (GOMAXPROCS) counts as well as the CPU count, and a
+// fresh report records the width it ran with.
+func TestBenchHostFingerprint(t *testing.T) {
+	h := benchHost()
+	if h.GOMAXPROCS != runtime.GOMAXPROCS(0) || h.CPUs != runtime.NumCPU() {
+		t.Fatalf("host %+v: want GOMAXPROCS %d, CPUs %d", h, runtime.GOMAXPROCS(0), runtime.NumCPU())
+	}
+	a := BenchHost{Hostname: "a", OS: "linux", Arch: "amd64", CPUs: 4, GOMAXPROCS: 4}
+	b := a
+	b.GOMAXPROCS = 2
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Errorf("fingerprint %q ignores GOMAXPROCS", a.Fingerprint())
+	}
+	b = a
+	b.CPUs = 8
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Errorf("fingerprint %q ignores the CPU count", a.Fingerprint())
+	}
+	var rt BenchHost
+	raw, err := json.Marshal(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(raw, &rt); err != nil || rt != a {
+		t.Errorf("host does not round-trip through JSON: %s -> %+v (%v)", raw, rt, err)
+	}
+}
+
 // TestCompareBenchGates pins the gate semantics: energy regressions
 // always fire; perf regressions fire only on matching host fingerprints.
 func TestCompareBenchGates(t *testing.T) {
@@ -118,6 +148,26 @@ func TestCompareBenchGates(t *testing.T) {
 	}
 	if len(cmp.Notes) == 0 {
 		t.Error("cross-host comparison must note the skipped checks")
+	}
+
+	// Allocated bytes are gated like the allocation count: a size-class
+	// jump grows bytes at a flat count.
+	cur = base
+	cur.Schemes = []BenchScheme{{Label: "x", EnergyPJPerBit: 1.0, WallSeconds: 1.0,
+		Allocs: 1000, AllocBytes: 20 << 20}}
+	base.Schemes = []BenchScheme{{Label: "x", EnergyPJPerBit: 1.0, WallSeconds: 1.0,
+		Allocs: 1000, AllocBytes: 20 << 20}}
+	if cmp, _ = CompareBench(base, cur, 0.05, 0.05); len(cmp.Regressions) != 0 {
+		t.Errorf("equal alloc bytes must pass: %v", cmp.Regressions)
+	}
+	cur.Schemes[0].AllocBytes = 20<<20 + 20<<20*136/1000 // +13.6%
+	cmp, _ = CompareBench(base, cur, 0.05, 0.05)
+	if len(cmp.Regressions) != 1 || !strings.Contains(cmp.Regressions[0], "alloc bytes") {
+		t.Errorf("+13.6%% alloc bytes at flat allocs must regress at 5%%: %v", cmp.Regressions)
+	}
+	cur.Host.GOMAXPROCS = 8
+	if cmp, _ = CompareBench(base, cur, 0.05, 0.05); len(cmp.Regressions) != 0 {
+		t.Errorf("alloc bytes must not be gated across GOMAXPROCS widths: %v", cmp.Regressions)
 	}
 
 	// Label drift is always a regression.
