@@ -12,7 +12,7 @@ test:
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/obs/ ./internal/obs/session/ ./internal/obs/fedclient/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/
+	$(GO) test -race ./internal/obs/ ./internal/obs/session/ ./internal/obs/fedclient/ ./internal/report/ ./internal/memctrl/ ./internal/gpu/ ./internal/shard/ ./internal/tracestore/ ./internal/bus/ ./internal/fault/
 
 # lint runs the in-repo gates that need no network. CI layers
 # staticcheck and govulncheck on top (installed there with go install,
@@ -28,6 +28,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzEDCDetect -fuzztime 10s ./internal/edc/
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerIndex -fuzztime 10s ./internal/memctrl/
+	$(GO) test -run '^$$' -fuzz FuzzProfileTally -fuzztime 10s ./internal/bus/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
@@ -35,11 +36,12 @@ bench-smoke:
 bench-regress:
 	$(GO) run ./cmd/smores-bench -compare BENCH_baseline.json -tolerance 5%
 
-# perfbench-smoke runs two benchmark workloads for one second each and
+# perfbench-smoke runs three benchmark workloads for one second each and
 # demands correct ops, zero failed ops, and the seed-1 untraced output
 # digests recorded in perfbench/LEDGER.md: end-to-end bit-identity of the
-# Table V sweep and the sharded LLC fleet. Needs jq.
-PERFBENCH_DIGESTS = table5=a8377d97061de9f4a9bd18ea171d6808 sharded8_llc=9b9cda650ebe6c4f215690868606813b
+# Table V sweep, the sharded LLC fleet and the exact-data profiled sweep
+# (whose ops also reconcile the energy profile with the bus). Needs jq.
+PERFBENCH_DIGESTS = table5=a8377d97061de9f4a9bd18ea171d6808 sharded8_llc=9b9cda650ebe6c4f215690868606813b exact_profiled=f02177ad7114ff768015ca5fc09954f9
 
 perfbench-smoke:
 	@for pair in $(PERFBENCH_DIGESTS); do \

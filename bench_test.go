@@ -182,11 +182,12 @@ func BenchmarkSparseDecodeGroupBurst(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	buf := make([]byte, 0, 16)
 	b.SetBytes(16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st := mta.IdleGroupState()
-		if _, ok := c.DecodeGroupBurst(cols, 16, &st); !ok {
+		if _, ok := c.DecodeGroupBurst(buf, cols, 16, &st); !ok {
 			b.Fatal("decode failed")
 		}
 	}

@@ -120,11 +120,9 @@ func (c *BurstCodec) Decode(e EncodedBurst) ([]byte, error) {
 		if sc == nil {
 			return nil, fmt.Errorf("smores: no sparse code of length %d", e.CodeLength)
 		}
-		chunk, ok := sc.DecodeGroupBurst(cols, 16, &c.states[g])
-		if !ok {
+		if _, ok := sc.DecodeGroupBurst(data[g*16:g*16], cols, 16, &c.states[g]); !ok {
 			return nil, fmt.Errorf("smores: sparse decode failed (group %d)", g)
 		}
-		copy(data[g*16:], chunk)
 	}
 	return data, nil
 }

@@ -79,8 +79,9 @@ type Config struct {
 	// Profile attributes every femtojoule the channel accounts into the
 	// energy profiler, keyed by (phase × codec × wire × level ×
 	// transition class). In exact-data mode each transmitted symbol is
-	// attributed individually; in expected mode the closed-form energies
-	// land in aggregate cells. The profiler's total reconciles with
+	// attributed individually, through a channel-local tally the profile
+	// drains on read; in expected mode the closed-form energies land in
+	// aggregate cells. The profiler's total reconciles with
 	// Stats.TotalEnergy (test-enforced). Nil disables attribution; the
 	// hot path then pays one nil check per accounting block.
 	Profile *obs.Profile
@@ -194,6 +195,9 @@ type Channel struct {
 	stats     Stats
 	m         *busMetrics
 	prof      *obs.Profile
+	// tally counts exact-mode symbols for prof until a profile read or
+	// Stats drains it (nil in expected mode or without a profile).
+	tally *obs.SymbolTally
 	// fault is the installed link-reliability hook (nil = perfect link);
 	// verdict latches the hook's judgement of the most recent burst.
 	fault   BurstHook
@@ -268,8 +272,16 @@ func New(cfg Config) *Channel {
 	return ch
 }
 
-// Stats returns a snapshot of accumulated statistics.
-func (ch *Channel) Stats() Stats { return ch.stats }
+// Stats returns a snapshot of accumulated statistics. It also drains
+// the channel's pending symbol tally into the profile, so a finished
+// run returns its tally even if nobody reads the profile.
+func (ch *Channel) Stats() Stats {
+	if ch.tally != nil {
+		ch.prof.FlushTally(ch.tally, ch)
+		ch.tally = nil
+	}
+	return ch.stats
+}
 
 // Family returns the channel's sparse codec family.
 func (ch *Channel) Family() *core.Family { return ch.family }
@@ -295,11 +307,14 @@ func (ch *Channel) SendBurst(data []byte, codeLength int) error {
 		pre = ch.states
 	}
 	var err error
+	var r route
+	ch.beginTally(&r)
 	if codeLength == 0 {
-		err = ch.sendMTA(data)
+		err = ch.sendMTA(data, &r)
 	} else {
-		err = ch.sendSparse(data, codeLength)
+		err = ch.sendSparse(data, codeLength, &r)
 	}
+	ch.endTally(&r)
 	if ch.m.on && err == nil {
 		ch.mirrorDeltas(before)
 		ch.m.burst(codeLength)
@@ -327,7 +342,7 @@ func (ch *Channel) mirrorDeltas(before Stats) {
 	ch.m.violations.Add(d.Violations - before.Violations)
 }
 
-func (ch *Channel) sendMTA(data []byte) error {
+func (ch *Channel) sendMTA(data []byte, r *route) error {
 	ch.stats.MTABursts++
 	ch.stats.DataBits += BurstBytes * 8
 	ch.stats.BusyUIs += BurstUIs
@@ -354,6 +369,7 @@ func (ch *Channel) sendMTA(data []byte) error {
 	if len(data) != BurstBytes {
 		return fmt.Errorf("bus: MTA burst needs %d bytes, got %d", BurstBytes, len(data))
 	}
+	r.to(obs.PhaseMTAPayload, obs.PhaseDBIWire, obs.ProfileCodecMTA, false)
 	for g := 0; g < Groups; g++ {
 		for beat := 0; beat < 2; beat++ {
 			var bytes8 [mta.GroupDataWires]byte
@@ -361,14 +377,14 @@ func (ch *Channel) sendMTA(data []byte) error {
 			prev := ch.states[g]
 			b := ch.mtaCodec.EncodeGroupBeat(bytes8, &ch.states[g])
 			for _, col := range b.Columns() {
-				ch.accountColumn(g, &prev, col, obs.PhaseMTAPayload, obs.ProfileCodecMTA)
+				ch.accountColumn(g, &prev, col, r)
 			}
 		}
 	}
 	return nil
 }
 
-func (ch *Channel) sendSparse(data []byte, codeLength int) error {
+func (ch *Channel) sendSparse(data []byte, codeLength int, r *route) error {
 	sc := ch.family.ByLength(codeLength)
 	if sc == nil {
 		return fmt.Errorf("bus: no sparse codec of length %d in family", codeLength)
@@ -399,6 +415,7 @@ func (ch *Channel) sendSparse(data []byte, codeLength int) error {
 	if len(data) != BurstBytes {
 		return fmt.Errorf("bus: sparse burst needs %d bytes, got %d", BurstBytes, len(data))
 	}
+	r.to(obs.PhaseSparsePayload, obs.PhaseDBIWire, codecIdx, true)
 	for g := 0; g < Groups; g++ {
 		prev := ch.states[g]
 		cols, err := sc.AppendGroupBurst(ch.colScratch[:0], data[g*GroupBurstBytes:(g+1)*GroupBurstBytes], &ch.states[g])
@@ -407,7 +424,7 @@ func (ch *Channel) sendSparse(data []byte, codeLength int) error {
 		}
 		ch.colScratch = cols // keep the (possibly grown) buffer
 		for _, col := range cols {
-			ch.accountColumn(g, &prev, col, obs.PhaseSparsePayload, codecIdx)
+			ch.accountColumn(g, &prev, col, r)
 		}
 	}
 	return nil
@@ -469,10 +486,12 @@ func (ch *Channel) Postamble() {
 		ch.prof.AddAggregate(obs.PhasePostamble, obs.ProfileCodecMTA,
 			postE, Groups*mta.GroupWires*PostambleUIs())
 	}
+	var r route
+	ch.beginTally(&r)
 	for g := 0; g < Groups; g++ {
 		if ch.exact {
-			if ch.prof.On() {
-				ch.profilePostamble(g, &ch.states[g])
+			if r.t != nil {
+				r.postamble(g, &ch.states[g])
 			}
 			prev := ch.states[g]
 			col := mta.PostambleColumn()
@@ -484,6 +503,7 @@ func (ch *Channel) Postamble() {
 			ch.states[g][w] = mta.PostambleLevel
 		}
 	}
+	ch.endTally(&r)
 }
 
 // PostambleUIs returns the postamble duration in unit intervals.
@@ -514,6 +534,12 @@ func (ch *Channel) Idle(uis int64) {
 	}
 	ch.stats.IdleUIs += uis
 	ch.mtaChain = 0
+	// Only the level-shifted idle step transmits symbols.
+	var r route
+	if ch.shiftIdle {
+		ch.beginTally(&r)
+		r.to(obs.PhaseIdleShift, obs.PhaseIdleShift, obs.ProfileCodecMTA, true)
+	}
 	for g := 0; g < Groups; g++ {
 		if ch.exact {
 			prev := ch.states[g]
@@ -529,13 +555,14 @@ func (ch *Channel) Idle(uis int64) {
 					}
 				}
 				if needed {
-					ch.accountColumn(g, &prev, step, obs.PhaseIdleShift, obs.ProfileCodecMTA)
+					ch.accountColumn(g, &prev, step, &r)
 				}
 			}
 			ch.checkColumn(g, &prev, mta.IdleColumn())
 		}
 		ch.states[g] = mta.IdleGroupState()
 	}
+	ch.endTally(&r)
 	ch.lastMTA = false
 }
 
@@ -544,15 +571,14 @@ func (ch *Channel) Idle(uis int64) {
 // L3, and L3→L0 would be a 3ΔV swing); sparse bursts end at ≤L2.
 func (ch *Channel) NeedsPostamble() bool { return ch.lastMTA }
 
-// accountColumn integrates one transmitted column's energy, attributes
-// it to the profiler, and validates transitions. prev tracks the
-// previous column (seeded with the pre-burst trailing state); ph and
-// codec give the profiler the attribution context of the burst.
+// accountColumn integrates one transmitted column's energy, counts it
+// into the symbol tally along r, and validates transitions. prev tracks
+// the previous column (seeded with the pre-burst trailing state).
 //
 //smores:hotpath
-func (ch *Channel) accountColumn(g int, prev *mta.GroupState, col mta.Column, ph obs.Phase, codec int) {
-	if ch.prof.On() {
-		ch.profileColumn(g, prev, col, ph, codec)
+func (ch *Channel) accountColumn(g int, prev *mta.GroupState, col mta.Column, r *route) {
+	if r.t != nil {
+		r.column(g, prev, col)
 	}
 	for _, l := range col {
 		ch.stats.WireEnergy += ch.levelE[l]

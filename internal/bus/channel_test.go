@@ -7,6 +7,7 @@ import (
 
 	"smores/internal/core"
 	"smores/internal/mta"
+	"smores/internal/obs"
 	"smores/internal/pam4"
 )
 
@@ -276,34 +277,47 @@ func TestPostambleEnergyValue(t *testing.T) {
 // TestExactSteadyStateAllocFree pins the zero-alloc property of the
 // exact-data hot path: after warm-up (scratch buffer grown, caches
 // filled), sending bursts and idling must not allocate. This is what
-// keeps exact-mode fleet runs off the garbage collector.
+// keeps exact-mode fleet runs off the garbage collector. With a profile
+// attached, the symbol tally must come back from its pool after every
+// drain, whether a profile read or Stats drained it.
 func TestExactSteadyStateAllocFree(t *testing.T) {
-	ch := New(Config{ExactData: true})
-	rng := rand.New(rand.NewSource(7))
-	data := randomSector(rng)
-	n := ch.Family().Lengths()[0]
-	// Warm up: grow the column scratch buffer and touch every path once.
-	for i := 0; i < 4; i++ {
-		if err := ch.SendBurst(data, core.MaxSparseSymbols); err != nil {
-			t.Fatal(err)
-		}
-		if err := ch.SendBurst(data, 0); err != nil {
-			t.Fatal(err)
-		}
-		ch.Postamble()
-		ch.Idle(8)
-	}
-	for name, fn := range map[string]func(){
-		"sparse": func() {
-			if err := ch.SendBurst(data, n); err != nil {
+	for _, p := range []*obs.Profile{nil, obs.NewProfile()} {
+		ch := New(Config{ExactData: true, LevelShiftedIdle: p != nil, Profile: p})
+		rng := rand.New(rand.NewSource(7))
+		data := randomSector(rng)
+		n := ch.Family().Lengths()[0]
+		// Warm up: grow the column scratch buffer and touch every path once.
+		for i := 0; i < 4; i++ {
+			if err := ch.SendBurst(data, core.MaxSparseSymbols); err != nil {
 				t.Fatal(err)
 			}
-		},
-		"mta":  func() { _ = ch.SendBurst(data, 0) },
-		"idle": func() { ch.Postamble(); ch.Idle(4) },
-	} {
-		if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
-			t.Errorf("%s path allocates %.1f times per op in steady state", name, allocs)
+			if err := ch.SendBurst(data, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := ch.ReplayBurst(data, n); err != nil {
+				t.Fatal(err)
+			}
+			ch.Postamble()
+			ch.Idle(8)
+			p.TotalEnergy()
+		}
+		paths := map[string]func(){
+			"sparse": func() {
+				if err := ch.SendBurst(data, n); err != nil {
+					t.Fatal(err)
+				}
+			},
+			"mta":  func() { _ = ch.SendBurst(data, 0) },
+			"idle": func() { ch.Postamble(); ch.Idle(4) },
+		}
+		if p != nil {
+			paths["profile-read"] = func() { _ = ch.SendBurst(data, n); p.TotalEnergy() }
+			paths["stats"] = func() { _ = ch.ReplayBurst(data, 0); ch.Stats() }
+		}
+		for name, fn := range paths {
+			if allocs := testing.AllocsPerRun(100, fn); allocs != 0 {
+				t.Errorf("profile=%v: %s path allocates %.1f times per op in steady state", p != nil, name, allocs)
+			}
 		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 
 	"smores/internal/mta"
 	"smores/internal/obs"
-	"smores/internal/pam4"
 )
 
 // BurstVerdict is a hook's judgement of one transferred burst.
@@ -100,11 +99,14 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 		pre = ch.states
 	}
 	var err error
+	var r route
+	ch.beginTally(&r)
 	if codeLength == 0 {
-		err = ch.replayMTA(data)
+		err = ch.replayMTA(data, &r)
 	} else {
-		err = ch.replaySparse(data, codeLength)
+		err = ch.replaySparse(data, codeLength, &r)
 	}
+	ch.endTally(&r)
 	if err != nil {
 		return err
 	}
@@ -119,11 +121,12 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 }
 
 // replayMTA retransmits a dense burst, accounting into ReplayEnergy.
-func (ch *Channel) replayMTA(data []byte) error {
+func (ch *Channel) replayMTA(data []byte, r *route) error {
 	ch.stats.BusyUIs += BurstUIs
 	ch.stats.ReplayEnergy += BurstBytes * 8 * ch.mtaLogic
 	ch.prof.AddAggregate(obs.PhaseReplay, obs.ProfileCodecMTA, BurstBytes*8*ch.mtaLogic, 0)
 	ch.lastMTA = true
+	r.to(obs.PhaseReplay, obs.PhaseReplay, obs.ProfileCodecMTA, false)
 	for g := 0; g < Groups; g++ {
 		for beat := 0; beat < 2; beat++ {
 			var bytes8 [mta.GroupDataWires]byte
@@ -131,7 +134,7 @@ func (ch *Channel) replayMTA(data []byte) error {
 			prev := ch.states[g]
 			b := ch.mtaCodec.EncodeGroupBeat(bytes8, &ch.states[g])
 			for _, col := range b.Columns() {
-				ch.accountReplayColumn(g, &prev, col, obs.ProfileCodecMTA)
+				ch.accountReplayColumn(g, &prev, col, r)
 			}
 		}
 	}
@@ -139,7 +142,7 @@ func (ch *Channel) replayMTA(data []byte) error {
 }
 
 // replaySparse retransmits a sparse burst, accounting into ReplayEnergy.
-func (ch *Channel) replaySparse(data []byte, codeLength int) error {
+func (ch *Channel) replaySparse(data []byte, codeLength int, r *route) error {
 	sc := ch.family.ByLength(codeLength)
 	if sc == nil {
 		return fmt.Errorf("bus: no sparse codec of length %d in family", codeLength)
@@ -151,6 +154,7 @@ func (ch *Channel) replaySparse(data []byte, codeLength int) error {
 	ch.prof.AddAggregate(obs.PhaseReplay, codecIdx, logic, 0)
 	ch.lastMTA = false
 	ch.mtaChain = 0
+	r.to(obs.PhaseReplay, obs.PhaseReplay, codecIdx, true)
 	for g := 0; g < Groups; g++ {
 		prev := ch.states[g]
 		cols, err := sc.AppendGroupBurst(ch.colScratch[:0], data[g*GroupBurstBytes:(g+1)*GroupBurstBytes], &ch.states[g])
@@ -159,7 +163,7 @@ func (ch *Channel) replaySparse(data []byte, codeLength int) error {
 		}
 		ch.colScratch = cols
 		for _, col := range cols {
-			ch.accountReplayColumn(g, &prev, col, codecIdx)
+			ch.accountReplayColumn(g, &prev, col, r)
 		}
 	}
 	return nil
@@ -168,17 +172,11 @@ func (ch *Channel) replaySparse(data []byte, codeLength int) error {
 // accountReplayColumn is accountColumn for retransmissions: same energy
 // integration and transition validation, but the joules land in
 // Stats.ReplayEnergy and the profiler's PhaseReplay (keeping the
-// payload-phase partition of WireEnergy intact).
-func (ch *Channel) accountReplayColumn(g int, prev *mta.GroupState, col mta.Column, codec int) {
-	if ch.prof.On() {
-		base := g * mta.GroupWires
-		for w, l := range col {
-			tc := obs.TransOfDelta(pam4.Delta(prev[w], l))
-			if codec != obs.ProfileCodecMTA && prev[w] == pam4.L3 {
-				tc = obs.TransSeam
-			}
-			ch.prof.AddSymbol(obs.PhaseReplay, codec, base+w, int(l), tc, ch.levelE[l])
-		}
+// payload-phase partition of WireEnergy intact; the caller routes r
+// there).
+func (ch *Channel) accountReplayColumn(g int, prev *mta.GroupState, col mta.Column, r *route) {
+	if r.t != nil {
+		r.column(g, prev, col)
 	}
 	for _, l := range col {
 		ch.stats.ReplayEnergy += ch.levelE[l]

@@ -54,7 +54,7 @@ func FuzzSparseRoundTrip(f *testing.F) {
 		}
 
 		decState := st
-		back, ok := c.DecodeGroupBurst(cols, len(data), &decState)
+		back, ok := c.DecodeGroupBurst(nil, cols, len(data), &decState)
 		if !ok {
 			t.Fatal("decoder rejected the encoder's own output")
 		}

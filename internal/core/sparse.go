@@ -11,6 +11,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"smores/internal/codec"
 	"smores/internal/mta"
@@ -145,10 +146,12 @@ func (c *SparseGroupCodec) AppendGroupBurst(dst []mta.Column, data []byte, state
 	return dst, nil
 }
 
-// DecodeGroupBurst reverses EncodeGroupBurst. state must hold the same
-// trailing levels the encoder saw; it is advanced on success and left
-// unchanged on failure.
-func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, state *mta.GroupState) ([]byte, bool) {
+// DecodeGroupBurst reverses EncodeGroupBurst, appending the dataBytes
+// decoded bytes to dst (grown as needed) like AppendGroupBurst, so a
+// receiver can decode into its own buffer without allocating. state
+// must hold the same trailing levels the encoder saw; it is advanced on
+// success and left unchanged on failure, which returns nil.
+func (c *SparseGroupCodec) DecodeGroupBurst(dst []byte, cols []mta.Column, dataBytes int, state *mta.GroupState) ([]byte, bool) {
 	n := c.book.Spec().OutputSymbols
 	if dataBytes <= 0 || dataBytes%BytesPerSlot != 0 {
 		return nil, false
@@ -158,7 +161,10 @@ func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, st
 		return nil, false
 	}
 	st := *state
-	data := make([]byte, dataBytes)
+	start := len(dst)
+	dst = slices.Grow(dst, dataBytes)[:start+dataBytes]
+	data := dst[start:]
+	clear(data)
 	for slot := 0; slot < codesPerWire; slot++ {
 		byteIdx := slot / 2 * BytesPerSlot
 		loNibble := slot%2 == 0
@@ -216,5 +222,5 @@ func (c *SparseGroupCodec) DecodeGroupBurst(cols []mta.Column, dataBytes int, st
 		}
 	}
 	*state = st
-	return data, true
+	return dst, true
 }

@@ -70,7 +70,7 @@ func TestSparseRoundTripAllCodecs(t *testing.T) {
 			if len(cols) != c.BurstUIs(len(data)) {
 				t.Fatalf("%s: %d columns, want %d", c.Name(), len(cols), c.BurstUIs(len(data)))
 			}
-			got, ok := c.DecodeGroupBurst(cols, len(data), &dec)
+			got, ok := c.DecodeGroupBurst(nil, cols, len(data), &dec)
 			if !ok {
 				t.Fatalf("%s trial %d: decode failed", c.Name(), trial)
 			}
@@ -156,13 +156,13 @@ func TestSparseEncodeValidation(t *testing.T) {
 	if _, err := c.EncodeGroupBurst(make([]byte, 12), &st); err == nil {
 		t.Error("non-multiple-of-8 burst must error")
 	}
-	if _, ok := c.DecodeGroupBurst(nil, 16, &st); ok {
+	if _, ok := c.DecodeGroupBurst(nil, nil, 16, &st); ok {
 		t.Error("empty columns must fail decode")
 	}
-	if _, ok := c.DecodeGroupBurst(make([]mta.Column, 5), 16, &st); ok {
+	if _, ok := c.DecodeGroupBurst(nil, make([]mta.Column, 5), 16, &st); ok {
 		t.Error("wrong column count must fail decode")
 	}
-	if _, ok := c.DecodeGroupBurst(make([]mta.Column, c.BurstUIs(16)), 12, &st); ok {
+	if _, ok := c.DecodeGroupBurst(nil, make([]mta.Column, c.BurstUIs(16)), 12, &st); ok {
 		t.Error("bad data length must fail decode")
 	}
 }
@@ -177,7 +177,7 @@ func TestDecodeFailureLeavesStateUntouched(t *testing.T) {
 		cols[i] = mta.UniformColumn(pam4.L3)
 	}
 	before := st
-	if _, ok := c.DecodeGroupBurst(cols, 16, &st); ok {
+	if _, ok := c.DecodeGroupBurst(nil, cols, 16, &st); ok {
 		t.Fatal("garbage decoded")
 	}
 	if st != before {
@@ -198,7 +198,7 @@ func TestNonDBICodecRejectsForeignDBIWire(t *testing.T) {
 	}
 	cols[0][mta.DBIWire] = pam4.L1
 	dec := mta.GroupState{}
-	if _, ok := c.DecodeGroupBurst(cols, 16, &dec); ok {
+	if _, ok := c.DecodeGroupBurst(nil, cols, 16, &dec); ok {
 		t.Error("non-DBI codec accepted a driven DBI wire")
 	}
 }

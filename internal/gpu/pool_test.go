@@ -7,25 +7,12 @@ import (
 	"smores/internal/core"
 	"smores/internal/fault"
 	"smores/internal/memctrl"
-	"smores/internal/mta"
 	"smores/internal/rng"
 )
 
 // evictingLLC evicts dirty lines within a few thousand accesses over a
 // 16K-sector working set, so the writeback path stays exercised.
 var evictingLLC = LLCConfig{SizeBytes: 64 << 10, LineBytes: 128, SectorBytes: 32, Ways: 4}
-
-// everyNth flags every n-th fresh burst as a detected error and lets
-// replays through clean: a deterministic, allocation-free fault hook.
-type everyNth struct{ n, seen int }
-
-func (h *everyNth) OnBurst(_ []byte, _ int, _ [bus.Groups]mta.GroupState, replay bool) bus.BurstVerdict {
-	if replay {
-		return bus.BurstVerdict{}
-	}
-	h.seen++
-	return bus.BurstVerdict{Detected: h.seen%h.n == 0}
-}
 
 // faultyDriver builds a driver over a SMOREs controller with exact data
 // and the given fault hook, so reads come back with Replayed set.
@@ -53,12 +40,16 @@ func faultyDriver(t *testing.T, hook bus.BurstHook, llc bool, maxAccesses int64)
 // driver's free list, the controller's queues and completion list, and
 // the LLC's writeback scratch have grown to their working size, the
 // lockstep loop allocates nothing per access — with the LLC off and on,
-// a read/write mix, and EDC replays setting Replayed. (The hook is a stub:
-// fault.Injector's own sparse decode allocates, which is not the driver's
-// cost.)
+// a read/write mix, and EDC replays setting Replayed. The hook is a real
+// fault.Injector, so its re-encode, corruption and decode are inside the
+// measured span too.
 func TestDriverSteadyStateAllocFree(t *testing.T) {
 	for _, llc := range []bool{false, true} {
-		d, ctrl := faultyDriver(t, &everyNth{n: 5}, llc, 0)
+		in, err := fault.New(fault.Config{Model: fault.ModelUniform, Rate: 2e-3, EDC: true, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, ctrl := faultyDriver(t, in, llc, 0)
 		for i := 0; i < 20000; i++ {
 			d.advance(true)
 		}

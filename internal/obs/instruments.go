@@ -52,6 +52,24 @@ func (c *FloatCounter) Add(v float64) {
 	}
 }
 
+// addRepeated adds v n times in sequence, one rounding per addition, so
+// the result has the same bits as n successive Add(v) calls.
+func (c *FloatCounter) addRepeated(v float64, n int64) {
+	if v <= 0 || n <= 0 {
+		return
+	}
+	for {
+		old := c.bits.Load()
+		x := math.Float64frombits(old)
+		for k := int64(0); k < n; k++ {
+			x += v
+		}
+		if c.bits.CompareAndSwap(old, math.Float64bits(x)) {
+			return
+		}
+	}
+}
+
 // Value returns the accumulated total (0 on nil).
 func (c *FloatCounter) Value() float64 {
 	if c == nil {

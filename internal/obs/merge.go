@@ -88,6 +88,11 @@ func (p *Profile) Merge(src *Profile) {
 	if p == nil || src == nil {
 		return
 	}
+	// Both sides drain: src so every finished write is merged, p so its
+	// own pending symbols land before the merged sums, as eager
+	// attribution would have ordered them.
+	src.drain()
+	p.drain()
 	for i := range src.energy {
 		if fj := src.energy[i].Value(); fj > 0 {
 			p.energy[i].Add(fj)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"smores/internal/floats"
@@ -19,6 +20,8 @@ import (
 // nil-check the receiver, adds are lock-free atomics, and the hot path
 // allocates nothing. One Profile may be shared by many channels and
 // goroutines (the fleet runner shares one per evaluation run).
+// Exact-mode channels feed it through symbol tallies (tally.go) that
+// every read drains first, so a read sees each finished write.
 
 // Phase classifies where on the bus an energy sample was burned.
 type Phase uint8
@@ -202,6 +205,12 @@ const (
 type Profile struct {
 	energy []FloatCounter
 	count  []atomic.Int64
+
+	// tallies are the writers' pending symbol tallies; ntallies mirrors
+	// their count so a read with none pending skips the lock.
+	tmu      sync.Mutex
+	tallies  []*SymbolTally
+	ntallies atomic.Int32
 }
 
 // NewProfile builds an empty attribution profile (~0.5 MB of atomic
@@ -268,6 +277,7 @@ func (p *Profile) Cell(ph Phase, codec, wire, level int, tc TransClass) (fj floa
 	if i < 0 {
 		return 0, 0
 	}
+	p.drain()
 	return p.energy[i].Value(), p.count[i].Load()
 }
 
@@ -277,6 +287,7 @@ func (p *Profile) TotalEnergy() float64 {
 	if p == nil {
 		return 0
 	}
+	p.drain()
 	// Kahan-compensated so the reconciliation bound is the feeding
 	// paths' rounding, not the export's.
 	var sum, comp float64
@@ -294,6 +305,7 @@ func (p *Profile) TotalSymbols() int64 {
 	if p == nil {
 		return 0
 	}
+	p.drain()
 	var n int64
 	for i := range p.count {
 		n += p.count[i].Load()
@@ -306,6 +318,7 @@ func (p *Profile) PhaseEnergy(ph Phase) float64 {
 	if p == nil || ph >= NumPhases {
 		return 0
 	}
+	p.drain()
 	var sum, comp float64
 	stride := NumProfileCodecs * profileWireDim * profileLevelDim * NumTransClasses
 	base := int(ph) * stride
@@ -323,13 +336,13 @@ func (p *Profile) CodecEnergy(codec int) float64 {
 	if p == nil || codec < 0 || codec >= NumProfileCodecs {
 		return 0
 	}
+	p.drain()
 	var sum float64
 	for ph := Phase(0); ph < NumPhases; ph++ {
 		for wire := 0; wire < profileWireDim; wire++ {
 			for level := 0; level < profileLevelDim; level++ {
 				for tc := TransClass(0); tc < NumTransClasses; tc++ {
-					fj, _ := p.Cell(ph, codec, wire, level, tc)
-					sum += fj
+					sum += p.energy[cellIndex(ph, codec, wire, level, tc)].Value()
 				}
 			}
 		}
@@ -381,6 +394,7 @@ func (p *Profile) Snapshot() ProfileSnapshot {
 	if p == nil {
 		return ProfileSnapshot{}
 	}
+	p.drain()
 	var s ProfileSnapshot
 	for ph := Phase(0); ph < NumPhases; ph++ {
 		for codec := 0; codec < NumProfileCodecs; codec++ {

@@ -103,6 +103,7 @@ func (e *ProfileDeltaEncoder) Next() (snap ProfileDeltaSnapshot, emitted bool) {
 	if e == nil || e.prof == nil {
 		return ProfileDeltaSnapshot{}, false
 	}
+	e.prof.drain()
 	var changed []ProfileDeltaCell
 	for i := 0; i < ProfileCells; i++ {
 		fj := e.prof.energy[i].Value()

@@ -65,8 +65,9 @@ type RunSpec struct {
 	Tracer *obs.Tracer
 	// Profile attributes every femtojoule of bus energy into the energy
 	// profiler (phase × codec × wire × level × transition class). The
-	// profiler is lock-free and may be shared across parallel fleet
-	// workers; its total reconciles with the summed bus.Stats of every
+	// profiler may be shared across parallel fleet workers (exact-data
+	// channels feed it through private symbol tallies that every read
+	// drains); its total reconciles with the summed bus.Stats of every
 	// run that fed it. Nil disables attribution.
 	Profile *obs.Profile
 	// Channel identifies the controller in traces and default labels.
