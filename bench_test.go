@@ -19,6 +19,7 @@ import (
 	"smores/internal/hwcost"
 	"smores/internal/memctrl"
 	"smores/internal/mta"
+	"smores/internal/obs"
 	"smores/internal/pam4"
 	"smores/internal/report"
 	"smores/internal/rng"
@@ -395,6 +396,46 @@ func BenchmarkChannelExpectedMode(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := ch.SendBurst(nil, 3); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkChannelExact is the exact-data bus encode kernel on its own:
+// back-to-back SendBursts of random sectors through dense MTA and the
+// shortest and longest sparse codes, with and without an energy
+// profile attached (the profile adds the symbol tally).
+func BenchmarkChannelExact(b *testing.B) {
+	r := rng.New(5)
+	sectors := make([][]byte, 64)
+	for i := range sectors {
+		sectors[i] = make([]byte, bus.BurstBytes)
+		r.Fill(sectors[i])
+	}
+	for _, code := range []struct {
+		name   string
+		length int
+	}{{"mta", 0}, {"4b3s", 3}, {"4b8s", 8}} {
+		for _, profiled := range []bool{false, true} {
+			name := code.name + "/profile=off"
+			var p *obs.Profile
+			if profiled {
+				name, p = code.name+"/profile=on", obs.NewProfile()
+			}
+			b.Run(name, func(b *testing.B) {
+				ch := bus.New(bus.Config{ExactData: true, Profile: p})
+				b.SetBytes(bus.BurstBytes)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := ch.SendBurst(sectors[i%len(sectors)], code.length); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StopTimer()
+				if v := ch.Stats().Violations; v != 0 {
+					b.Fatalf("%d transition violations", v)
+				}
+			})
 		}
 	}
 }

@@ -73,13 +73,7 @@ func (c *BurstCodec) Encode(data []byte, codeLength int) (EncodedBurst, error) {
 	for g := 0; g < 2; g++ {
 		chunk := data[g*16 : (g+1)*16]
 		if codeLength == 0 {
-			for beat := 0; beat < 2; beat++ {
-				var bytes8 [mta.GroupDataWires]byte
-				copy(bytes8[:], chunk[beat*8:])
-				b := c.mtaC.EncodeGroupBeat(bytes8, &c.states[g])
-				cols := b.Columns()
-				out.Groups[g] = append(out.Groups[g], cols[:]...)
-			}
+			out.Groups[g] = c.mtaC.AppendGroupBurst(nil, chunk, &c.states[g])
 			continue
 		}
 		sc := c.family.ByLength(codeLength)

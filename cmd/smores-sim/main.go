@@ -270,8 +270,7 @@ func analyzeEye() {
 	for i := 0; i < 1000; i++ {
 		var beatData [mta.GroupDataWires]byte
 		r.Fill(beatData[:])
-		cols := mc.EncodeGroupBeat(beatData, &st).Columns()
-		mtaCols = append(mtaCols, cols[:]...)
+		mtaCols = mc.AppendGroupBurst(mtaCols, beatData[:], &st)
 	}
 	mk("MTA", mtaCols)
 

@@ -370,18 +370,7 @@ func (ch *Channel) sendMTA(data []byte, r *route) error {
 		return fmt.Errorf("bus: MTA burst needs %d bytes, got %d", BurstBytes, len(data))
 	}
 	r.to(obs.PhaseMTAPayload, obs.PhaseDBIWire, obs.ProfileCodecMTA, false)
-	for g := 0; g < Groups; g++ {
-		for beat := 0; beat < 2; beat++ {
-			var bytes8 [mta.GroupDataWires]byte
-			copy(bytes8[:], data[g*GroupBurstBytes+beat*mta.GroupDataWires:])
-			prev := ch.states[g]
-			b := ch.mtaCodec.EncodeGroupBeat(bytes8, &ch.states[g])
-			for _, col := range b.Columns() {
-				ch.accountColumn(g, &prev, col, r)
-			}
-		}
-	}
-	return nil
+	return ch.transmit(data, nil, &ch.stats.WireEnergy, r)
 }
 
 func (ch *Channel) sendSparse(data []byte, codeLength int, r *route) error {
@@ -416,15 +405,28 @@ func (ch *Channel) sendSparse(data []byte, codeLength int, r *route) error {
 		return fmt.Errorf("bus: sparse burst needs %d bytes, got %d", BurstBytes, len(data))
 	}
 	r.to(obs.PhaseSparsePayload, obs.PhaseDBIWire, codecIdx, true)
+	return ch.transmit(data, sc, &ch.stats.WireEnergy, r)
+}
+
+// transmit encodes one exact-data burst from the channel's trailing
+// wire state, with sc or, when sc is nil, the dense MTA codec, and
+// accounts every column into sink and r. Bursts and replays share it.
+func (ch *Channel) transmit(data []byte, sc *core.SparseGroupCodec, sink *float64, r *route) error {
 	for g := 0; g < Groups; g++ {
+		chunk := data[g*GroupBurstBytes : (g+1)*GroupBurstBytes]
 		prev := ch.states[g]
-		cols, err := sc.AppendGroupBurst(ch.colScratch[:0], data[g*GroupBurstBytes:(g+1)*GroupBurstBytes], &ch.states[g])
-		if err != nil {
-			return err
+		var cols []mta.Column
+		if sc == nil {
+			cols = ch.mtaCodec.AppendGroupBurst(ch.colScratch[:0], chunk, &ch.states[g])
+		} else {
+			var err error
+			if cols, err = sc.AppendGroupBurst(ch.colScratch[:0], chunk, &ch.states[g]); err != nil {
+				return err
+			}
 		}
 		ch.colScratch = cols // keep the (possibly grown) buffer
-		for _, col := range cols {
-			ch.accountColumn(g, &prev, col, r)
+		for i := range cols {
+			ch.accountColumn(g, &prev, &cols[i], sink, r)
 		}
 	}
 	return nil
@@ -496,7 +498,7 @@ func (ch *Channel) Postamble() {
 			prev := ch.states[g]
 			col := mta.PostambleColumn()
 			for ui := 0; ui < int(PostambleUIs()); ui++ {
-				ch.checkColumn(g, &prev, col)
+				ch.checkColumn(&prev, &col)
 			}
 		}
 		for w := range ch.states[g] {
@@ -555,10 +557,11 @@ func (ch *Channel) Idle(uis int64) {
 					}
 				}
 				if needed {
-					ch.accountColumn(g, &prev, step, &r)
+					ch.accountColumn(g, &prev, &step, &ch.stats.WireEnergy, &r)
 				}
 			}
-			ch.checkColumn(g, &prev, mta.IdleColumn())
+			idle := mta.IdleColumn()
+			ch.checkColumn(&prev, &idle)
 		}
 		ch.states[g] = mta.IdleGroupState()
 	}
@@ -571,28 +574,57 @@ func (ch *Channel) Idle(uis int64) {
 // L3, and L3→L0 would be a 3ΔV swing); sparse bursts end at ≤L2.
 func (ch *Channel) NeedsPostamble() bool { return ch.lastMTA }
 
-// accountColumn integrates one transmitted column's energy, counts it
-// into the symbol tally along r, and validates transitions. prev tracks
-// the previous column (seeded with the pre-burst trailing state).
+// accountColumn accounts one transmitted column of group g in a single
+// pass over its wires, in wire order: it adds each symbol's energy to
+// sink (Stats.WireEnergy, or Stats.ReplayEnergy for a retransmission),
+// counts every data-wire step beyond the 2ΔV cap into
+// Stats.Violations (the DBI wire is exempt, as in GDDR6X), and bumps
+// the symbol's tally cell along r. prev holds the group's previous
+// column, seeded with the pre-burst trailing state, and is advanced to
+// col. A level outside L0..L3 faults on the table loads.
 //
 //smores:hotpath
-func (ch *Channel) accountColumn(g int, prev *mta.GroupState, col mta.Column, r *route) {
-	if r.t != nil {
-		r.column(g, prev, col)
-	}
-	for _, l := range col {
-		ch.stats.WireEnergy += ch.levelE[l]
-	}
-	ch.checkColumn(g, prev, col)
-}
-
-// checkColumn validates max-transition safety on the encoded wires (the
-// DBI wire is exempt, as in GDDR6X) and advances prev.
-func (ch *Channel) checkColumn(_ int, prev *mta.GroupState, col mta.Column) {
-	for w := 0; w < mta.GroupDataWires; w++ {
-		if pam4.Delta(prev[w], col[w]) > pam4.MaxTransition {
-			ch.stats.Violations++
+func (ch *Channel) accountColumn(g int, prev *mta.GroupState, col *mta.Column, sink *float64, r *route) {
+	e := *sink
+	var over uint8
+	base := g * mta.GroupWires
+	for w := 0; w < mta.DBIWire; w++ {
+		p, l := prev[w], col[w]
+		e += ch.levelE[l]
+		over += overStep[p][l]
+		if r.t != nil {
+			r.data[base+w][r.cell[p][l]]++
 		}
 	}
-	*prev = mta.GroupState(col)
+	p, l := prev[mta.DBIWire], col[mta.DBIWire]
+	e += ch.levelE[l]
+	if r.t != nil {
+		r.dbi[base+mta.DBIWire][r.cell[p][l]]++
+		r.cols++
+	}
+	*sink = e
+	ch.stats.Violations += int64(over)
+	*prev = mta.GroupState(*col)
 }
+
+// checkColumn validates max-transition safety on the encoded wires of a
+// column that carries no accounted energy and advances prev.
+func (ch *Channel) checkColumn(prev *mta.GroupState, col *mta.Column) {
+	for w := 0; w < mta.DBIWire; w++ {
+		ch.stats.Violations += int64(overStep[prev[w]][col[w]])
+	}
+	*prev = mta.GroupState(*col)
+}
+
+// overStep is 1 for a level pair whose step exceeds the 2ΔV cap,
+// indexed [prev][level].
+var overStep = func() (t [pam4.NumLevels][pam4.NumLevels]uint8) {
+	for prev := pam4.L0; prev <= pam4.L3; prev++ {
+		for l := pam4.L0; l <= pam4.L3; l++ {
+			if pam4.Delta(prev, l) > pam4.MaxTransition {
+				t[prev][l] = 1
+			}
+		}
+	}
+	return t
+}()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smores/internal/core"
+	"smores/internal/floats"
 	"smores/internal/mta"
 	"smores/internal/obs"
 	"smores/internal/pam4"
@@ -156,6 +157,56 @@ func TestValidatorCatchesMissingPostamble(t *testing.T) {
 		}
 	}
 	t.Fatal("validator never fired despite 400 postamble-less idles")
+}
+
+// TestAccountColumnCountsViolations feeds accountColumn hand-built
+// columns: an L0→L3 step and then an L3→L0 step on a data wire each
+// count one violation, while the same swings on the exempt DBI wire
+// count none. The energy lands in the given sink symbol by symbol, and
+// a level outside L0..L3 faults instead of being masked.
+func TestAccountColumnCountsViolations(t *testing.T) {
+	for _, p := range []*obs.Profile{nil, obs.NewProfile()} {
+		ch := New(Config{ExactData: true, Profile: p})
+		var r route
+		ch.beginTally(&r)
+		r.to(obs.PhaseMTAPayload, obs.PhaseDBIWire, obs.ProfileCodecMTA, false)
+		prev := mta.IdleGroupState()
+		up := mta.IdleColumn()
+		up[3], up[mta.DBIWire] = pam4.L3, pam4.L3
+		var sink float64
+		ch.accountColumn(0, &prev, &up, &sink, &r)
+		if got := ch.stats.Violations; got != 1 {
+			t.Fatalf("profile=%v: L0→L3 on a data wire counted %d violations, want 1", p != nil, got)
+		}
+		if prev != mta.GroupState(up) {
+			t.Fatalf("prev not advanced: %v", prev)
+		}
+		down := mta.IdleColumn()
+		ch.accountColumn(1, &prev, &down, &sink, &r)
+		if got := ch.stats.Violations; got != 2 {
+			t.Fatalf("profile=%v: L3→L0 on a data wire counted %d violations in total, want 2", p != nil, got)
+		}
+		var want float64
+		for _, col := range []mta.Column{up, down} {
+			for _, l := range col {
+				want += ch.levelE[l]
+			}
+		}
+		if !floats.Eq(sink, want) || !floats.Eq(ch.stats.WireEnergy, 0) {
+			t.Fatalf("profile=%v: sink %g (want %g), WireEnergy %g (want 0)", p != nil, sink, want, ch.stats.WireEnergy)
+		}
+		bad := mta.IdleColumn()
+		bad[0] = pam4.NumLevels
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("profile=%v: out-of-range level accounted without a fault", p != nil)
+				}
+			}()
+			ch.accountColumn(0, &prev, &bad, &sink, &r)
+		}()
+		ch.endTally(&r)
+	}
 }
 
 // TestExpectedMatchesExact cross-validates the two accounting modes over
@@ -309,6 +360,10 @@ func TestExactSteadyStateAllocFree(t *testing.T) {
 			},
 			"mta":  func() { _ = ch.SendBurst(data, 0) },
 			"idle": func() { ch.Postamble(); ch.Idle(4) },
+			"replay": func() {
+				_ = ch.ReplayBurst(data, n)
+				_ = ch.ReplayBurst(data, 0)
+			},
 		}
 		if p != nil {
 			paths["profile-read"] = func() { _ = ch.SendBurst(data, n); p.TotalEnergy() }

@@ -20,6 +20,7 @@ package bus
 import (
 	"fmt"
 
+	"smores/internal/core"
 	"smores/internal/mta"
 	"smores/internal/obs"
 )
@@ -98,14 +99,9 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 	if hook {
 		pre = ch.states
 	}
-	var err error
 	var r route
 	ch.beginTally(&r)
-	if codeLength == 0 {
-		err = ch.replayMTA(data, &r)
-	} else {
-		err = ch.replaySparse(data, codeLength, &r)
-	}
+	err := ch.replay(data, codeLength, &r)
 	ch.endTally(&r)
 	if err != nil {
 		return err
@@ -120,66 +116,24 @@ func (ch *Channel) ReplayBurst(data []byte, codeLength int) error {
 	return nil
 }
 
-// replayMTA retransmits a dense burst, accounting into ReplayEnergy.
-func (ch *Channel) replayMTA(data []byte, r *route) error {
-	ch.stats.BusyUIs += BurstUIs
-	ch.stats.ReplayEnergy += BurstBytes * 8 * ch.mtaLogic
-	ch.prof.AddAggregate(obs.PhaseReplay, obs.ProfileCodecMTA, BurstBytes*8*ch.mtaLogic, 0)
-	ch.lastMTA = true
-	r.to(obs.PhaseReplay, obs.PhaseReplay, obs.ProfileCodecMTA, false)
-	for g := 0; g < Groups; g++ {
-		for beat := 0; beat < 2; beat++ {
-			var bytes8 [mta.GroupDataWires]byte
-			copy(bytes8[:], data[g*GroupBurstBytes+beat*mta.GroupDataWires:])
-			prev := ch.states[g]
-			b := ch.mtaCodec.EncodeGroupBeat(bytes8, &ch.states[g])
-			for _, col := range b.Columns() {
-				ch.accountReplayColumn(g, &prev, col, r)
-			}
+// replay retransmits a burst through the same encode loop as SendBurst,
+// accounting its wire and logic energy into ReplayEnergy and the
+// profiler's PhaseReplay (keeping the payload-phase partition of
+// WireEnergy intact).
+func (ch *Channel) replay(data []byte, codeLength int, r *route) error {
+	var sc *core.SparseGroupCodec
+	uis, logic, codecIdx := int64(BurstUIs), BurstBytes*8*ch.mtaLogic, obs.ProfileCodecMTA
+	if codeLength != 0 {
+		if sc = ch.family.ByLength(codeLength); sc == nil {
+			return fmt.Errorf("bus: no sparse codec of length %d in family", codeLength)
 		}
+		uis, logic, codecIdx = int64(sc.BurstUIs(GroupBurstBytes)), BurstBytes*8*ch.sparseLogic, obs.ProfileCodecIndex(codeLength)
+		ch.mtaChain = 0
 	}
-	return nil
-}
-
-// replaySparse retransmits a sparse burst, accounting into ReplayEnergy.
-func (ch *Channel) replaySparse(data []byte, codeLength int, r *route) error {
-	sc := ch.family.ByLength(codeLength)
-	if sc == nil {
-		return fmt.Errorf("bus: no sparse codec of length %d in family", codeLength)
-	}
-	ch.stats.BusyUIs += int64(sc.BurstUIs(GroupBurstBytes))
-	logic := BurstBytes * 8 * ch.sparseLogic
+	ch.stats.BusyUIs += uis
 	ch.stats.ReplayEnergy += logic
-	codecIdx := obs.ProfileCodecIndex(codeLength)
 	ch.prof.AddAggregate(obs.PhaseReplay, codecIdx, logic, 0)
-	ch.lastMTA = false
-	ch.mtaChain = 0
-	r.to(obs.PhaseReplay, obs.PhaseReplay, codecIdx, true)
-	for g := 0; g < Groups; g++ {
-		prev := ch.states[g]
-		cols, err := sc.AppendGroupBurst(ch.colScratch[:0], data[g*GroupBurstBytes:(g+1)*GroupBurstBytes], &ch.states[g])
-		if err != nil {
-			return err
-		}
-		ch.colScratch = cols
-		for _, col := range cols {
-			ch.accountReplayColumn(g, &prev, col, r)
-		}
-	}
-	return nil
-}
-
-// accountReplayColumn is accountColumn for retransmissions: same energy
-// integration and transition validation, but the joules land in
-// Stats.ReplayEnergy and the profiler's PhaseReplay (keeping the
-// payload-phase partition of WireEnergy intact; the caller routes r
-// there).
-func (ch *Channel) accountReplayColumn(g int, prev *mta.GroupState, col mta.Column, r *route) {
-	if r.t != nil {
-		r.column(g, prev, col)
-	}
-	for _, l := range col {
-		ch.stats.ReplayEnergy += ch.levelE[l]
-	}
-	ch.checkColumn(g, prev, col)
+	ch.lastMTA = sc == nil
+	r.to(obs.PhaseReplay, obs.PhaseReplay, codecIdx, sc != nil)
+	return ch.transmit(data, sc, &ch.stats.ReplayEnergy, r)
 }

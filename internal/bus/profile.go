@@ -29,19 +29,20 @@ import (
 // attribution is disabled).
 func (ch *Channel) Profile() *obs.Profile { return ch.prof }
 
-// transClass is the profiler's transition class of a symbol, indexed
-// [seam][prev][level]: the ΔV magnitude class of the step from prev,
-// except that in seam phases (sparse payload, idle shift, sparse
-// replays) a symbol following an L3 was rewritten by the level-shifting
-// rule and is classed TransSeam.
-var transClass = func() (t [2][pam4.NumLevels][pam4.NumLevels]obs.TransClass) {
+// tallyCell is the tally cell (obs.TallyCell) of a symbol, indexed
+// [seam][prev][level]: the level with the ΔV magnitude class of the
+// step from prev, except that in seam phases (sparse payload, idle
+// shift, sparse replays) a symbol following an L3 was rewritten by the
+// level-shifting rule and is classed TransSeam.
+var tallyCell = func() (t [2][pam4.NumLevels][pam4.NumLevels]uint8) {
 	for prev := pam4.L0; prev <= pam4.L3; prev++ {
 		for l := pam4.L0; l <= pam4.L3; l++ {
-			t[0][prev][l] = obs.TransOfDelta(pam4.Delta(prev, l))
-			t[1][prev][l] = t[0][prev][l]
+			tc := obs.TransOfDelta(pam4.Delta(prev, l))
+			t[0][prev][l] = uint8(obs.TallyCell(int(l), tc))
 			if prev == pam4.L3 {
-				t[1][prev][l] = obs.TransSeam
+				tc = obs.TransSeam
 			}
+			t[1][prev][l] = uint8(obs.TallyCell(int(l), tc))
 		}
 	}
 	return t
@@ -49,14 +50,14 @@ var transClass = func() (t [2][pam4.NumLevels][pam4.NumLevels]obs.TransClass) {
 
 // route directs one public call's exact-mode symbols into the channel's
 // symbol tally: the call opens a batch (beginTally), picks the burst's
-// slots once (to), and each symbol is then one increment (column). The
-// zero route (expected mode or no profile) counts nothing.
+// slots once (to), and accountColumn then bumps one cell per symbol.
+// The zero route (expected mode or no profile) counts nothing.
 type route struct {
 	t *obs.SymbolTally
 	// data and dbi count the group's eight data wires and its ninth
-	// wire; class is the burst's row of transClass.
+	// wire; cell is the burst's row of tallyCell.
 	data, dbi *obs.TallySlot
-	class     *[pam4.NumLevels][pam4.NumLevels]obs.TransClass
+	cell      *[pam4.NumLevels][pam4.NumLevels]uint8
 	// cols counts the batch's columns.
 	cols int
 }
@@ -88,23 +89,10 @@ func (r *route) to(ph, dbiPh obs.Phase, codec int, seam bool) {
 	if dbiPh != ph {
 		r.dbi = r.t.Slot(dbiPh, codec)
 	}
-	r.class = &transClass[0]
+	r.cell = &tallyCell[0]
 	if seam {
-		r.class = &transClass[1]
+		r.cell = &tallyCell[1]
 	}
-}
-
-// column counts one transmitted column of group g; prev holds the
-// group's previous column.
-func (r *route) column(g int, prev *mta.GroupState, col mta.Column) {
-	base := g * mta.GroupWires
-	for w := 0; w < mta.DBIWire; w++ {
-		l := col[w]
-		r.data[base+w][l][r.class[prev[w]][l]]++
-	}
-	l := col[mta.DBIWire]
-	r.dbi[base+mta.DBIWire][l][r.class[prev[mta.DBIWire]][l]]++
-	r.cols++
 }
 
 // postamble counts one group's L1 postamble drive: per wire, the first
@@ -113,10 +101,10 @@ func (r *route) column(g int, prev *mta.GroupState, col mta.Column) {
 func (r *route) postamble(g int, prev *mta.GroupState) {
 	slot := r.t.Slot(obs.PhasePostamble, obs.ProfileCodecMTA)
 	base := g * mta.GroupWires
+	hold := obs.TallyCell(int(mta.PostambleLevel), obs.Trans0DV)
 	for w, l := range prev {
-		cell := &slot[base+w][mta.PostambleLevel]
-		cell[transClass[0][l][mta.PostambleLevel]]++
-		cell[obs.Trans0DV] += int32(PostambleUIs() - 1)
+		slot[base+w][tallyCell[0][l][mta.PostambleLevel]]++
+		slot[base+w][hold] += int32(PostambleUIs() - 1)
 	}
 	r.cols += int(PostambleUIs())
 }

@@ -15,14 +15,35 @@ import (
 // the eight data wires carry the level.
 const dbiThreshold = mta.GroupDataWires / 2
 
-// Level-permutation tables for the two legal swaps, indexed by level. The
-// hot path applies a swap as one table load per wire instead of a
-// three-way switch; L3 maps to itself (pre-shift sparse columns never
-// carry it, but the exported helpers accept arbitrary columns).
-var (
-	swap01 = [pam4.NumLevels]pam4.Level{pam4.L1, pam4.L0, pam4.L2, pam4.L3}
-	swap02 = [pam4.NumLevels]pam4.Level{pam4.L2, pam4.L1, pam4.L0, pam4.L3}
-)
+// dbiPerm is the level permutation for each DBI value, indexed by
+// level: the identity for L0 (no swap), then the L0↔L1 and L0↔L2
+// swaps. Each is its own inverse. The hot path applies one as a table
+// load per wire; L3 maps to itself (pre-shift sparse columns never carry
+// it, but the exported helpers accept arbitrary columns).
+var dbiPerm = [3][pam4.NumLevels]pam4.Level{
+	{pam4.L0, pam4.L1, pam4.L2, pam4.L3},
+	{pam4.L1, pam4.L0, pam4.L2, pam4.L3},
+	{pam4.L2, pam4.L1, pam4.L0, pam4.L3},
+}
+
+// dbiCount packs a column's L1 count (low nibble) and L2 count (high
+// nibble) into one byte when summed over the data wires; a count of at
+// most eight fits its nibble.
+var dbiCount = [pam4.NumLevels]uint8{pam4.L1: 1, pam4.L2: 1 << 4}
+
+// dbiChoice maps a packed count to the DBI value the paper's rule picks.
+var dbiChoice = func() (t [256]pam4.Level) {
+	for packed := range t {
+		n1, n2 := packed&0xf, packed>>4
+		switch {
+		case n1 > dbiThreshold:
+			t[packed] = pam4.L1
+		case n2 > dbiThreshold:
+			t[packed] = pam4.L2
+		}
+	}
+	return t
+}()
 
 // ApplyDBISwap implements the paper's rule on a pre-shift column:
 //
@@ -32,43 +53,36 @@ var (
 //
 // L1 is tested first, as in the paper; both counts cannot exceed four
 // simultaneously (they sum to at most eight), so the order only matters
-// for documentation.
+// for documentation. The rule is evaluated without branches: the wires
+// add their levels' dbiCount entries, dbiChoice turns the packed count
+// into the DBI value, and that value's dbiPerm row remaps every data
+// wire (the identity when nothing is swapped).
+//
+//smores:hotpath
 func ApplyDBISwap(col mta.Column) mta.Column {
-	n1, n2 := 0, 0
-	for w := 0; w < mta.GroupDataWires; w++ {
-		switch col[w] {
-		case pam4.L1:
-			n1++
-		case pam4.L2:
-			n2++
-		}
-	}
-	switch {
-	case n1 > dbiThreshold:
-		col = permuteLevels(col, &swap01)
-		col[mta.DBIWire] = pam4.L1
-	case n2 > dbiThreshold:
-		col = permuteLevels(col, &swap02)
-		col[mta.DBIWire] = pam4.L2
-	default:
-		col[mta.DBIWire] = pam4.L0
-	}
+	dbi := dbiValue(&col)
+	col = permuteLevels(col, &dbiPerm[dbi])
+	col[mta.DBIWire] = dbi
 	return col
+}
+
+// dbiValue is the DBI value the rule picks for a column's data wires.
+func dbiValue(col *mta.Column) pam4.Level {
+	var packed uint8
+	for w := 0; w < mta.GroupDataWires; w++ {
+		packed += dbiCount[col[w]]
+	}
+	return dbiChoice[packed]
 }
 
 // UndoDBISwap reverses ApplyDBISwap using the DBI wire's (unshifted)
 // value. It reports false for a DBI symbol outside {L0, L1, L2}.
 func UndoDBISwap(col mta.Column) (mta.Column, bool) {
-	switch col[mta.DBIWire] {
-	case pam4.L0:
-		return col, true
-	case pam4.L1:
-		return permuteLevels(col, &swap01), true
-	case pam4.L2:
-		return permuteLevels(col, &swap02), true
-	default:
+	dbi := col[mta.DBIWire]
+	if int(dbi) >= len(dbiPerm) {
 		return col, false
 	}
+	return permuteLevels(col, &dbiPerm[dbi]), true
 }
 
 // permuteLevels remaps the data wires through a level-permutation table

@@ -116,6 +116,7 @@ func (c *SparseGroupCodec) AppendGroupBurst(dst []mta.Column, data []byte, state
 
 	// Expand each wire's nibble stream into its code sequence, one code
 	// slot at a time so DBI sees aligned columns.
+	out := dst[len(dst) : len(dst)+codesPerWire*n]
 	for slot := 0; slot < codesPerWire; slot++ {
 		byteIdx := slot / 2 * BytesPerSlot
 		shift := uint(slot % 2 * NibbleBits) // low nibble first
@@ -124,27 +125,45 @@ func (c *SparseGroupCodec) AppendGroupBurst(dst []mta.Column, data []byte, state
 			wireCodes[w] = &c.lut[data[byteIdx+w]>>shift&0x0f]
 		}
 		for ui := 0; ui < n; ui++ {
-			var col mta.Column
+			col := &out[slot*n+ui]
 			for w := 0; w < mta.GroupDataWires; w++ {
 				col[w] = wireCodes[w][ui]
 			}
-			col[mta.DBIWire] = pam4.L0
+			dbi := pam4.L0
 			if c.dbi {
-				col = ApplyDBISwap(col)
+				dbi = dbiValue(col)
 			}
-			// Level shifting runs last, on transmitted values.
-			for w := range col {
-				if state[w] == pam4.L3 {
-					col[w] = col[w].ShiftUp()
-				}
-				state[w] = col[w]
+			// The DBI swap and then level shifting, which acts on the
+			// transmitted values, as one table load per wire.
+			t := &swapShift[dbi]
+			for w := 0; w < mta.DBIWire; w++ {
+				l := t[state[w]][col[w]]
+				col[w], state[w] = l, l
 			}
-			//smores:prealloc dst capacity reserved by the grow block above
-			dst = append(dst, col)
+			l := swapShift[0][state[mta.DBIWire]][dbi]
+			col[mta.DBIWire], state[mta.DBIWire] = l, l
 		}
 	}
-	return dst, nil
+	return dst[:len(dst)+len(out)], nil
 }
+
+// swapShift composes each DBI value's level permutation (dbiPerm) with
+// the seam rule, indexed [DBI value][previous transmitted level][level]:
+// a symbol following an L3 is raised one level (ShiftUp) after the
+// swap. Row 0 is the seam rule alone.
+var swapShift = func() (t [len(dbiPerm)][pam4.NumLevels][pam4.NumLevels]pam4.Level) {
+	for dbi := range t {
+		for prev := pam4.L0; prev <= pam4.L3; prev++ {
+			for l := pam4.L0; l <= pam4.L3; l++ {
+				t[dbi][prev][l] = dbiPerm[dbi][l]
+				if prev == pam4.L3 {
+					t[dbi][prev][l] = t[dbi][prev][l].ShiftUp()
+				}
+			}
+		}
+	}
+	return t
+}()
 
 // DecodeGroupBurst reverses EncodeGroupBurst, appending the dataBytes
 // decoded bytes to dst (grown as needed) like AppendGroupBurst, so a

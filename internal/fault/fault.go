@@ -286,15 +286,7 @@ func (in *Injector) transmit(data []byte, codeLength int, pre [bus.Groups]mta.Gr
 	if codeLength == 0 {
 		for g := 0; g < bus.Groups; g++ {
 			st := pre[g]
-			cols := in.txCols[g][:0]
-			for beat := 0; beat < 2; beat++ {
-				var bytes8 [mta.GroupDataWires]byte
-				copy(bytes8[:], data[g*bus.GroupBurstBytes+beat*mta.GroupDataWires:])
-				b := in.mtaCodec.EncodeGroupBeat(bytes8, &st)
-				bc := b.Columns()
-				cols = append(cols, bc[:]...)
-			}
-			in.txCols[g] = cols
+			in.txCols[g] = in.mtaCodec.AppendGroupBurst(in.txCols[g][:0], data[g*bus.GroupBurstBytes:(g+1)*bus.GroupBurstBytes], &st)
 		}
 		return true
 	}

@@ -64,6 +64,10 @@ type Codec struct {
 	variant Variant
 	model   *pam4.EnergyModel
 	table   [TableSize]pam4.Seq
+	// symbols flattens table into direct level loads for the burst
+	// encoder: symbols[inv][data7] holds the four transmitted levels of
+	// that value, upright (inv 0) or inverted (inv 1).
+	symbols [2][TableSize][SeqSymbols]pam4.Level
 	decode  map[uint32]uint8
 	// Steady-state statistics on uniform random data.
 	uprightAvg    float64 // mean fJ of an upright sequence
@@ -111,6 +115,10 @@ func NewVariant(m *pam4.EnergyModel, v Variant) (*Codec, error) {
 	copy(c.table[:], kept)
 	for val, s := range c.table {
 		c.decode[s.Packed()] = uint8(val)
+		for ui := 0; ui < SeqSymbols; ui++ {
+			c.symbols[0][val][ui] = s.At(ui)
+			c.symbols[1][val][ui] = s.At(ui).Invert()
+		}
 	}
 
 	// Steady-state inversion statistics. A transmitted sequence is

@@ -51,6 +51,53 @@ func (c *Codec) EncodeGroupBeat(data [GroupDataWires]byte, state *GroupState) Be
 	return beat
 }
 
+// AppendGroupBurst encodes a group's share of a burst: data is a
+// multiple of GroupDataWires bytes, byte i going to wire i%8, one beat
+// per eight bytes. It appends SeqSymbols columns per beat to dst (grown
+// as needed) and advances state. The columns equal
+// EncodeGroupBeat(...).Columns() beat by beat, which stays the reference
+// form; this is the table-driven one the exact-data bus drives.
+//
+//smores:hotpath
+func (c *Codec) AppendGroupBurst(dst []Column, data []byte, state *GroupState) []Column {
+	if len(data)%GroupDataWires != 0 {
+		panic("mta: group burst length is not a multiple of the group width")
+	}
+	start := len(dst)
+	n := len(data) / GroupDataWires * SeqSymbols
+	if cap(dst) < start+n {
+		grown := make([]Column, start, start+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:start+n]
+	for i := 0; i < len(data); i += GroupDataWires {
+		bytes := (*[GroupDataWires]byte)(data[i:])
+		cols := (*[SeqSymbols]Column)(dst[start+i/GroupDataWires*SeqSymbols:])
+		for w := 0; w < GroupDataWires; w++ {
+			s := &c.symbols[invertIndex(state[w])][bytes[w]&0x7f]
+			cols[0][w], cols[1][w], cols[2][w], cols[3][w] = s[0], s[1], s[2], s[3]
+			state[w] = s[SeqSymbols-1]
+		}
+		// The DBI wire's symbol k is the MSB pair of wires 2k and 2k+1
+		// as plain PAM4 (packMSBs).
+		for k := 0; k < SeqSymbols; k++ {
+			cols[k][DBIWire] = pam4.Level(bytes[2*k]>>7<<1 | bytes[2*k+1]>>7)
+		}
+		state[DBIWire] = cols[SeqSymbols-1][DBIWire]
+	}
+	return dst
+}
+
+// invertIndex selects the upright (0) or inverted (1) row of the
+// codec's symbol table for a wire whose last level is prev.
+func invertIndex(prev pam4.Level) int {
+	if inverted(prev) {
+		return 1
+	}
+	return 0
+}
+
 // DecodeGroupBeat reverses EncodeGroupBeat. state must hold the same
 // trailing levels the encoder saw and is advanced on success; on failure
 // it is left unchanged and ok is false.

@@ -37,9 +37,16 @@ const TallyClasses = int(TransSeam) + 1
 // its own tally: no cell can then exceed it, far below int32 overflow.
 const tallyMaxPending = 1 << 24
 
-// TallySlot counts one (phase, codec) slot's symbols by wire, level and
-// transition class.
-type TallySlot [ProfileWires][ProfileLevels][TallyClasses]int32
+// TallyCells is the number of (level, transition class) cells per wire.
+const TallyCells = ProfileLevels * TallyClasses
+
+// TallyCell is the flat index of a (level, transition class) cell
+// within one wire's counts.
+func TallyCell(level int, tc TransClass) int { return level*TallyClasses + int(tc) }
+
+// TallySlot counts one (phase, codec) slot's symbols by wire and by
+// (level, transition class) cell, flattened by TallyCell.
+type TallySlot [ProfileWires][TallyCells]int32
 
 // SymbolTally is one writer's pending symbol counts. Obtain one through
 // Profile.BeginTally; the slots are valid until the matching EndTally.
@@ -107,20 +114,19 @@ func (t *SymbolTally) fold(p *Profile) {
 			codec := bits.TrailingZeros16(m)
 			s := t.slots[ph][codec]
 			for wire := range s {
-				for level := range s[wire] {
+				for cell, n := range s[wire] {
+					if n == 0 {
+						continue
+					}
+					level, tc := cell/TallyClasses, TransClass(cell%TallyClasses)
 					e := t.levelE[level]
 					if Phase(ph) == PhasePostamble {
 						e = t.postE
 					}
-					for tc, n := range s[wire][level] {
-						if n == 0 {
-							continue
-						}
-						i := cellIndex(Phase(ph), codec, wire, level, TransClass(tc))
-						p.energy[i].addRepeated(e, int64(n))
-						p.count[i].Add(int64(n))
-						s[wire][level][tc] = 0
-					}
+					i := cellIndex(Phase(ph), codec, wire, level, tc)
+					p.energy[i].addRepeated(e, int64(n))
+					p.count[i].Add(int64(n))
+					s[wire][cell] = 0
 				}
 			}
 		}

@@ -11,7 +11,7 @@ var tallyLevelE = [ProfileLevels]float64{0, 0.1 + 0.2, 1.7, 2.9}
 // cell and closes the batch; it returns the tally it used.
 func countSymbols(p *Profile, t *SymbolTally, owner any, ph Phase, wire, level int, tc TransClass, n int32) *SymbolTally {
 	t = p.BeginTally(t, owner, tallyLevelE, 0.75)
-	t.Slot(ph, ProfileCodecMTA)[wire][level][tc] += n
+	t.Slot(ph, ProfileCodecMTA)[wire][TallyCell(level, tc)] += n
 	p.EndTally(t, owner, int(n))
 	return t
 }
@@ -75,7 +75,7 @@ func TestTallyStaleOwner(t *testing.T) {
 func TestTallyPendingBound(t *testing.T) {
 	p := NewProfile()
 	tl := p.BeginTally(nil, p, tallyLevelE, 0)
-	tl.Slot(PhaseReplay, ProfileCodecMTA)[1][3][Trans2DV]++
+	tl.Slot(PhaseReplay, ProfileCodecMTA)[1][TallyCell(3, Trans2DV)]++
 	p.EndTally(tl, p, tallyMaxPending)
 	if p.ntallies.Load() != 0 {
 		t.Fatal("tally still registered past the pending bound")
