@@ -30,6 +30,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStoreRoundTrip -fuzztime 10s ./internal/tracestore/
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerIndex -fuzztime 10s ./internal/memctrl/
 	$(GO) test -run '^$$' -fuzz FuzzProfileTally -fuzztime 10s ./internal/bus/
+	$(GO) test -run '^$$' -fuzz FuzzDeltaStream -fuzztime 10s ./internal/obs/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .
@@ -37,12 +38,14 @@ bench-smoke:
 bench-regress:
 	$(GO) run ./cmd/smores-bench -compare BENCH_baseline.json -tolerance 5%
 
-# perfbench-smoke runs three benchmark workloads for one second each and
-# demands correct ops, zero failed ops, and the seed-1 untraced output
+# perfbench-smoke runs the four benchmark workloads for one second each
+# and demands correct ops, zero failed ops, and the seed-1 untraced output
 # digests recorded in perfbench/LEDGER.md: end-to-end bit-identity of the
-# Table V sweep, the sharded LLC fleet and the exact-data profiled sweep
-# (whose ops also reconcile the energy profile with the bus). Needs jq.
-PERFBENCH_DIGESTS = table5=a8377d97061de9f4a9bd18ea171d6808 sharded8_llc=9b9cda650ebe6c4f215690868606813b exact_profiled=f02177ad7114ff768015ca5fc09954f9
+# Table V sweep, the sharded LLC fleet, the exact-data profiled sweep
+# (whose ops also reconcile the energy profile with the bus) and the
+# per-app energies the served sessions' counter streams reconstruct.
+# Needs jq.
+PERFBENCH_DIGESTS = table5=a8377d97061de9f4a9bd18ea171d6808 sharded8_llc=9b9cda650ebe6c4f215690868606813b exact_profiled=f02177ad7114ff768015ca5fc09954f9 serve_sessions=88c2a6108bb39ec802af803d107efd9e
 
 perfbench-smoke:
 	@for pair in $(PERFBENCH_DIGESTS); do \

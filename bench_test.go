@@ -440,6 +440,54 @@ func BenchmarkChannelExact(b *testing.B) {
 	}
 }
 
+// BenchmarkDeltaEncoder is the telemetry session's counter-stream codec
+// on a session-sized registry (one fleet app run with the registry
+// attached): an idle scan, a scan that finds a few changed series, and
+// the full-state snapshot a stream join copies.
+func BenchmarkDeltaEncoder(b *testing.B) {
+	p, _ := workload.ByName("bfs")
+	reg := obs.NewRegistry()
+	spec := report.RunSpec{
+		Policy:   memctrl.SMOREs,
+		Scheme:   core.Scheme{Specification: core.VariableCode, Detection: core.Exhaustive},
+		Accesses: 3000, Seed: 1,
+	}
+	if _, err := report.RunFleetApps([]workload.Profile{p}, spec,
+		report.FleetOptions{Workers: 1, Obs: reg}); err != nil {
+		b.Fatal(err)
+	}
+	bumped := []*obs.Counter{
+		reg.Counter("bench_a_total", "h"),
+		reg.Counter("bench_b_total", "h", obs.L("app", "bfs")),
+		reg.Counter("bench_c_total", "h", obs.L("channel", "0")),
+	}
+	enc := obs.NewDeltaEncoder(reg)
+	enc.Next()
+	var snap obs.DeltaSnapshot
+	b.Run("next/idle", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			snap, _ = enc.Next()
+		}
+	})
+	b.Run("next/changed", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, c := range bumped {
+				c.Inc()
+			}
+			snap, _ = enc.Next()
+		}
+	})
+	b.Run("full", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			snap = enc.Full()
+		}
+		b.ReportMetric(float64(len(snap.Points)), "points")
+	})
+}
+
 // BenchmarkControllerTick offers one bfs access per tick, retrying a
 // request the full queue rejected instead of dropping it, so the queues
 // cycle as under the GPU driver. Retired requests are recycled, leaving

@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"maps"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,23 +37,14 @@ func (p DeltaPoint) key() string {
 	if len(p.Labels) == 0 {
 		return p.Name
 	}
-	keys := make([]string, 0, len(p.Labels))
-	for k := range p.Labels {
-		keys = append(keys, k)
+	ls := make([]Label, 0, len(p.Labels))
+	for k, v := range p.Labels {
+		ls = append(ls, Label{Key: k, Value: v})
 	}
-	sort.Strings(keys)
-	var b strings.Builder
-	b.WriteString(p.Name)
-	b.WriteByte('\xff')
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(p.Labels[k]))
-	}
-	return b.String()
+	slices.SortFunc(ls, func(a, b Label) int { return strings.Compare(a.Key, b.Key) })
+	b := make([]byte, 0, len(p.Name)+1+labelsLen(ls))
+	b = append(append(b, p.Name...), '\xff')
+	return string(appendLabels(b, ls))
 }
 
 // DeltaSnapshot is one stream emission: the points that changed since
@@ -76,17 +69,47 @@ type DeltaSnapshot struct {
 // DeltaEncoder tracks the last-emitted value of every flattened series
 // of one registry. Not safe for concurrent use — one goroutine (the
 // session sampler) owns it; the registry itself may be written
-// concurrently, as emissions read it atomically via Gather.
+// concurrently, as emissions read its instruments atomically.
+//
+// Each registry series is flattened once, on first sight: its points'
+// names, label maps and rendered keys are cached, so a later Next only
+// reads values and compares them with the last emitted ones, and Full
+// copies the cached slots in their kept key order. Emitted points share
+// their label maps with the cache; receivers treat them as read-only.
 type DeltaEncoder struct {
-	reg  *Registry
-	seq  uint64
-	last map[string]DeltaPoint
+	reg    *Registry
+	seq    uint64
+	series map[seriesID]*deltaSeries
+	slots  map[string]*deltaSlot // by rendered point key
+	sorted []*deltaSlot          // every slot, in key order
+	vals   []float64             // scratch: one series' current point values
+	buf    []DeltaPoint          // scratch: the changed points of one Next
+}
+
+// seriesID names a registry series: its family and label signature.
+type seriesID struct{ family, sig string }
+
+// deltaSeries is one registry series flattened to points in emission
+// order; slots[i] holds the last emitted state of points[i]'s key.
+type deltaSeries struct {
+	points []DeltaPoint // Name and Labels only
+	slots  []*deltaSlot
+}
+
+// deltaSlot is the last emitted point under one rendered key. Two
+// flattened points whose keys collide share a slot, exactly as they
+// would share one entry of a map keyed by the rendered key.
+type deltaSlot struct {
+	key  string
+	last DeltaPoint
+	seen bool
 }
 
 // NewDeltaEncoder builds an encoder over reg with empty prior state, so
 // the first Next emits every non-empty series.
 func NewDeltaEncoder(reg *Registry) *DeltaEncoder {
-	return &DeltaEncoder{reg: reg, last: make(map[string]DeltaPoint)}
+	return &DeltaEncoder{reg: reg, series: make(map[seriesID]*deltaSeries),
+		slots: make(map[string]*deltaSlot)}
 }
 
 // Seq returns the sequence number of the last emission (0 before any).
@@ -97,44 +120,88 @@ func (e *DeltaEncoder) Seq() uint64 {
 	return e.seq
 }
 
-// flatten renders the registry's current state as scalar points.
-func (e *DeltaEncoder) flatten() []DeltaPoint {
-	var out []DeltaPoint
-	for _, f := range e.reg.Gather() {
-		for _, s := range f.Series {
-			labels := func(extra ...Label) map[string]string {
-				if len(s.Labels)+len(extra) == 0 {
-					return nil
-				}
-				m := make(map[string]string, len(s.Labels)+len(extra))
-				for _, l := range s.Labels {
-					m[l.Key] = l.Value
-				}
-				for _, l := range extra {
-					m[l.Key] = l.Value
-				}
-				return m
-			}
-			if f.Kind != KindHistogram {
-				out = append(out, DeltaPoint{Name: f.Name, Labels: labels(), Value: s.Value})
-				continue
-			}
-			for i, b := range s.Hist.Bounds {
-				out = append(out, DeltaPoint{
-					Name:   f.Name + "_bucket",
-					Labels: labels(L("le", strconv.FormatFloat(b, 'g', -1, 64))),
-					Value:  float64(s.Hist.Counts[i]),
-				})
-			}
-			out = append(out, DeltaPoint{
-				Name: f.Name + "_bucket", Labels: labels(L("le", "+Inf")),
-				Value: float64(s.Hist.Inf),
-			})
-			out = append(out, DeltaPoint{Name: f.Name + "_sum", Labels: labels(), Value: s.Hist.Sum})
-			out = append(out, DeltaPoint{Name: f.Name + "_count", Labels: labels(), Value: float64(s.Hist.Count)})
+// flatten builds the cache entry for a series seen for the first time:
+// one point per counter or gauge; for a histogram one per bucket, then
+// +Inf, _sum and _count.
+func (e *DeltaEncoder) flatten(f *family, s *series) *deltaSeries {
+	labels := func(extra ...Label) map[string]string {
+		if len(s.labels)+len(extra) == 0 {
+			return nil
 		}
+		m := make(map[string]string, len(s.labels)+len(extra))
+		for _, l := range s.labels {
+			m[l.Key] = l.Value
+		}
+		for _, l := range extra {
+			m[l.Key] = l.Value
+		}
+		return m
 	}
-	return out
+	var ps []DeltaPoint
+	if f.kind != KindHistogram {
+		ps = []DeltaPoint{{Name: f.name, Labels: labels()}}
+	} else {
+		ps = make([]DeltaPoint, 0, len(s.h.bounds)+3)
+		for _, b := range s.h.bounds {
+			ps = append(ps, DeltaPoint{Name: f.name + "_bucket",
+				Labels: labels(L("le", strconv.FormatFloat(b, 'g', -1, 64)))})
+		}
+		ps = append(ps,
+			DeltaPoint{Name: f.name + "_bucket", Labels: labels(L("le", "+Inf"))},
+			DeltaPoint{Name: f.name + "_sum", Labels: labels()},
+			DeltaPoint{Name: f.name + "_count", Labels: labels()})
+	}
+	ds := &deltaSeries{points: ps, slots: make([]*deltaSlot, len(ps))}
+	for i, p := range ps {
+		k := p.key()
+		sl := e.slots[k]
+		if sl == nil {
+			sl = &deltaSlot{key: k}
+			e.slots[k] = sl
+			e.sorted = append(e.sorted, sl)
+		}
+		ds.slots[i] = sl
+	}
+	return ds
+}
+
+// values appends a series' current point values in flatten's order.
+func values(dst []float64, f *family, s *series) []float64 {
+	switch f.kind {
+	case KindCounter:
+		return append(dst, float64(s.c.Value()))
+	case KindFloatCounter:
+		return append(dst, s.f.Value())
+	case KindGauge:
+		return append(dst, float64(s.g.Value()))
+	}
+	h := s.h
+	for i := range h.counts {
+		dst = append(dst, float64(h.counts[i].Load()))
+	}
+	return append(dst, float64(h.inf.Load()), h.sum.Value(), float64(h.n.Load()))
+}
+
+// sample diffs one series against the last emitted state, recording
+// changed points in the scratch buffer.
+func (e *DeltaEncoder) sample(f *family, s *series) {
+	id := seriesID{f.name, s.sig}
+	ds := e.series[id]
+	if ds == nil {
+		ds = e.flatten(f, s)
+		e.series[id] = ds
+	}
+	e.vals = values(e.vals[:0], f, s)
+	for i, v := range e.vals {
+		sl := ds.slots[i]
+		if sl.seen && floats.Eq(sl.last.Value, v) {
+			continue
+		}
+		p := ds.points[i]
+		p.Value = v
+		sl.last, sl.seen = p, true
+		e.buf = append(e.buf, p)
+	}
 }
 
 // Next scans the registry and returns the snapshot of changed points.
@@ -146,35 +213,31 @@ func (e *DeltaEncoder) Next() (snap DeltaSnapshot, emitted bool) {
 	if e == nil {
 		return DeltaSnapshot{}, false
 	}
-	var changed []DeltaPoint
-	for _, p := range e.flatten() {
-		k := p.key()
-		old, seen := e.last[k]
-		if seen && floats.Eq(old.Value, p.Value) {
-			continue
-		}
-		e.last[k] = p
-		changed = append(changed, p)
+	e.buf = e.buf[:0]
+	known := len(e.sorted)
+	e.reg.visit(e.sample)
+	if len(e.sorted) > known {
+		sort.Slice(e.sorted, func(i, j int) bool { return e.sorted[i].key < e.sorted[j].key })
 	}
-	if len(changed) == 0 {
+	if len(e.buf) == 0 {
 		return DeltaSnapshot{Seq: e.seq}, false
 	}
 	e.seq++
-	return DeltaSnapshot{Seq: e.seq, Points: changed}, true
+	return DeltaSnapshot{Seq: e.seq, Points: append([]DeltaPoint(nil), e.buf...)}, true
 }
 
 // Full returns the complete last-emitted state as a Reset snapshot
 // carrying the current sequence number: a receiver that applies it holds
 // exactly the state after emission Seq and may continue with Seq+1.
+// Points are sorted by (name, labels).
 func (e *DeltaEncoder) Full() DeltaSnapshot {
 	if e == nil {
 		return DeltaSnapshot{Reset: true}
 	}
-	snap := DeltaSnapshot{Seq: e.seq, Reset: true, Points: make([]DeltaPoint, 0, len(e.last))}
-	for _, p := range e.last {
-		snap.Points = append(snap.Points, p)
+	snap := DeltaSnapshot{Seq: e.seq, Reset: true, Points: make([]DeltaPoint, len(e.sorted))}
+	for i, sl := range e.sorted {
+		snap.Points[i] = sl.last
 	}
-	sortPoints(snap.Points)
 	return snap
 }
 
@@ -233,29 +296,30 @@ func (s *StreamState) Points() []DeltaPoint {
 	if s == nil {
 		return nil
 	}
-	out := make([]DeltaPoint, 0, len(s.vals))
-	for _, p := range s.vals {
-		out = append(out, p)
+	keys := make([]string, 0, len(s.vals))
+	for k := range s.vals {
+		keys = append(keys, k)
 	}
-	sortPoints(out)
+	sort.Strings(keys)
+	out := make([]DeltaPoint, len(keys))
+	for i, k := range keys {
+		out[i] = s.vals[k]
+	}
 	return out
 }
 
-// EqualPoints reports whether two point sets are identical: same keys,
-// bit-identical values. Both sides must be sorted (Points and Full
-// return sorted slices).
+// EqualPoints reports whether two point sets are identical: same names
+// and labels, bit-identical values, in the same order. Points and Full
+// return sorted slices.
 func EqualPoints(a, b []DeltaPoint) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].key() != b[i].key() || !floats.Eq(a[i].Value, b[i].Value) {
+		if a[i].Name != b[i].Name || !floats.Eq(a[i].Value, b[i].Value) ||
+			!maps.Equal(a[i].Labels, b[i].Labels) {
 			return false
 		}
 	}
 	return true
-}
-
-func sortPoints(ps []DeltaPoint) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].key() < ps[j].key() })
 }

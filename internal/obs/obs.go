@@ -21,9 +21,8 @@
 package obs
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Label is one key=value metric dimension (e.g. channel="0",
@@ -44,14 +43,32 @@ func labelSignature(labels []Label) string {
 	}
 	ls := append([]Label(nil), labels...)
 	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	for i, l := range ls {
+	return string(appendLabels(make([]byte, 0, labelsLen(ls)), ls))
+}
+
+// appendLabels appends labels (already in key order) to b as k="v" pairs
+// joined by commas, values quoted as strconv.Quote does: the one label
+// form behind both series signatures and stream point keys.
+func appendLabels(b []byte, labels []Label) []byte {
+	for i, l := range labels {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = strconv.AppendQuote(b, l.Value)
 	}
-	return b.String()
+	return b
+}
+
+// labelsLen bounds appendLabels' output length when no value needs
+// escaping: the size callers give its buffer.
+func labelsLen(labels []Label) int {
+	n := 0
+	for _, l := range labels {
+		n += len(l.Key) + len(l.Value) + 4 // '=', two quotes, ','
+	}
+	return n
 }
 
 // sortedLabels returns a sorted copy of labels.

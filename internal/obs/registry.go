@@ -33,6 +33,7 @@ func (k Kind) String() string {
 
 // series is one labeled instrument inside a family.
 type series struct {
+	sig    string  // labelSignature: the series' identity inside its family
 	labels []Label // sorted
 	c      *Counter
 	f      *FloatCounter
@@ -49,7 +50,16 @@ type family struct {
 
 	mu     sync.Mutex
 	series map[string]*series
-	order  []string // insertion order of signatures, for stable-ish export
+	// order lists the series in registration order. It is append-only,
+	// so a slice header copied under mu stays a valid snapshot.
+	order []*series
+}
+
+// snapshot returns the family's series in registration order.
+func (f *family) snapshot() []*series {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.order
 }
 
 // Registry is the central metric table. Instrument lookup
@@ -59,7 +69,10 @@ type family struct {
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	names    []string
+	// sorted lists the families by name. Registration replaces it rather
+	// than editing it in place, so a slice header copied under mu stays a
+	// valid snapshot.
+	sorted []*family
 }
 
 // NewRegistry builds an empty registry.
@@ -80,8 +93,10 @@ func (r *Registry) familyFor(name, help string, kind Kind, bounds []float64) *fa
 			bounds: append([]float64(nil), bounds...),
 			series: make(map[string]*series)}
 		r.families[name] = f
-		r.names = append(r.names, name)
-		sort.Strings(r.names)
+		i := sort.Search(len(r.sorted), func(i int) bool { return r.sorted[i].name > name })
+		sorted := make([]*family, 0, len(r.sorted)+1)
+		sorted = append(append(append(sorted, r.sorted[:i]...), f), r.sorted[i:]...)
+		r.sorted = sorted
 		return f
 	}
 	if f.kind != kind {
@@ -96,7 +111,7 @@ func (f *family) seriesFor(labels []Label) *series {
 	defer f.mu.Unlock()
 	s, ok := f.series[sig]
 	if !ok {
-		s = &series{labels: sortedLabels(labels)}
+		s = &series{sig: sig, labels: sortedLabels(labels)}
 		switch f.kind {
 		case KindCounter:
 			s.c = &Counter{}
@@ -108,7 +123,7 @@ func (f *family) seriesFor(labels []Label) *series {
 			s.h = newHistogram(f.bounds)
 		}
 		f.series[sig] = s
-		f.order = append(f.order, sig)
+		f.order = append(f.order, s)
 	}
 	return s
 }
@@ -170,25 +185,11 @@ func (r *Registry) Gather() []Family {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	names := append([]string(nil), r.names...)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.families[n])
-	}
-	r.mu.Unlock()
-
+	fams := r.snapshot()
 	out := make([]Family, 0, len(fams))
 	for _, f := range fams {
 		ef := Family{Name: f.name, Help: f.help, Kind: f.kind}
-		f.mu.Lock()
-		sigs := append([]string(nil), f.order...)
-		ss := make([]*series, 0, len(sigs))
-		for _, sig := range sigs {
-			ss = append(ss, f.series[sig])
-		}
-		f.mu.Unlock()
-		for _, s := range ss {
+		for _, s := range f.snapshot() {
 			p := SeriesPoint{Labels: append([]Label(nil), s.labels...)}
 			switch f.kind {
 			case KindCounter:
@@ -205,6 +206,26 @@ func (r *Registry) Gather() []Family {
 		out = append(out, ef)
 	}
 	return out
+}
+
+// snapshot returns the families sorted by name.
+func (r *Registry) snapshot() []*family {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.sorted
+}
+
+// visit calls fn on every series in Gather's order (families by name,
+// series in registration order) without copying labels or values.
+func (r *Registry) visit(fn func(f *family, s *series)) {
+	if r == nil {
+		return
+	}
+	for _, f := range r.snapshot() {
+		for _, s := range f.snapshot() {
+			fn(f, s)
+		}
+	}
 }
 
 // Value returns the current value of a counter/gauge series, or 0 when
