@@ -31,6 +31,9 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSchedulerIndex -fuzztime 10s ./internal/memctrl/
 	$(GO) test -run '^$$' -fuzz FuzzProfileTally -fuzztime 10s ./internal/bus/
 	$(GO) test -run '^$$' -fuzz FuzzDeltaStream -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzProfileStream -fuzztime 10s ./internal/obs/
+	$(GO) test -run '^$$' -fuzz FuzzReader -fuzztime 10s ./internal/trace/
+	$(GO) test -run '^$$' -fuzz FuzzProfileConservation -fuzztime 10s ./internal/bus/
 
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x .

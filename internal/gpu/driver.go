@@ -166,9 +166,9 @@ func (d *Driver) advance(skip bool) bool {
 	if skip {
 		d.fastForward()
 	}
-	var before RunResult
+	var before mirrored
 	if d.m != nil {
-		before = d.res
+		before = d.mirrorBase()
 	}
 	progressed := d.step()
 	d.ctrl.Tick()
@@ -261,14 +261,22 @@ func (d *Driver) idleHorizon() (n int64, stall, think bool) {
 	return 0, false, false
 }
 
+// mirrored holds the RunResult counters mirror publishes as deltas, so
+// advance snapshots four integers instead of the whole RunResult.
+type mirrored struct{ accesses, dramReads, dramWrites, stallClocks int64 }
+
+func (d *Driver) mirrorBase() mirrored {
+	return mirrored{d.res.Accesses, d.res.DRAMReads, d.res.DRAMWrites, d.res.StallClocks}
+}
+
 // mirror publishes per-clock deltas of the run counters into the obs
 // registry — identical accounting to RunResult, one source of truth.
-func (d *Driver) mirror(before RunResult) {
+func (d *Driver) mirror(before mirrored) {
 	r := d.res
-	d.m.accesses.Add(r.Accesses - before.Accesses)
-	d.m.dramReads.Add(r.DRAMReads - before.DRAMReads)
-	d.m.dramWrites.Add(r.DRAMWrites - before.DRAMWrites)
-	d.m.stallClocks.Add(r.StallClocks - before.StallClocks)
+	d.m.accesses.Add(r.Accesses - before.accesses)
+	d.m.dramReads.Add(r.DRAMReads - before.dramReads)
+	d.m.dramWrites.Add(r.DRAMWrites - before.dramWrites)
+	d.m.stallClocks.Add(r.StallClocks - before.stallClocks)
 	d.m.clock.Set(r.Clocks)
 	d.m.inflight.Set(int64(d.inflight))
 }

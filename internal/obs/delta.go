@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"hash/maphash"
 	"maps"
 	"slices"
 	"sort"
@@ -243,14 +244,71 @@ func (e *DeltaEncoder) Full() DeltaSnapshot {
 
 // StreamState reconstructs registry state on the receiving end of a
 // delta stream by overwrite-merging snapshots.
+//
+// Applied points are keyed by identity — name plus label map — without
+// rendering: a hash of the identity picks the candidates, compared by
+// name and maps.Equal. Each new identity renders its key once and binds
+// to the slot of that key, so identities whose rendered keys collide
+// share one slot, as they would share one entry of a map keyed by the
+// rendered key.
 type StreamState struct {
-	seq  uint64
-	vals map[string]DeltaPoint
+	seq   uint64
+	ids   map[uint64][]streamID  // by pointHash
+	slots map[string]*streamSlot // by rendered key
+	all   []*streamSlot          // every slot, in creation order
+}
+
+// streamID binds one point identity to the slot of its rendered key.
+type streamID struct {
+	name   string
+	labels map[string]string
+	slot   *streamSlot
+}
+
+// streamSlot is the last applied point under one rendered key; held is
+// false until a point lands after the last Reset.
+type streamSlot struct {
+	key  string
+	last DeltaPoint
+	held bool
+}
+
+// pointSeed seeds pointHash; identities are only compared within one
+// process.
+var pointSeed = maphash.MakeSeed()
+
+// pointHash hashes a point identity independently of label order.
+func pointHash(name string, labels map[string]string) uint64 {
+	h := maphash.String(pointSeed, name)
+	for k, v := range labels {
+		h += maphash.String(pointSeed, k)*0x9e3779b97f4a7c15 ^ maphash.String(pointSeed, v)
+	}
+	return h
 }
 
 // NewStreamState builds an empty reconstruction.
 func NewStreamState() *StreamState {
-	return &StreamState{vals: make(map[string]DeltaPoint)}
+	return &StreamState{ids: make(map[uint64][]streamID), slots: make(map[string]*streamSlot)}
+}
+
+// slot returns the slot holding p's identity, binding a new identity on
+// first sight.
+func (s *StreamState) slot(p DeltaPoint) *streamSlot {
+	h := pointHash(p.Name, p.Labels)
+	for _, id := range s.ids[h] {
+		if id.name == p.Name && maps.Equal(id.labels, p.Labels) {
+			return id.slot
+		}
+	}
+	k := p.key()
+	sl := s.slots[k]
+	if sl == nil {
+		sl = &streamSlot{key: k}
+		s.slots[k] = sl
+		s.all = append(s.all, sl)
+	}
+	s.ids[h] = append(s.ids[h], streamID{name: p.Name, labels: p.Labels, slot: sl})
+	return sl
 }
 
 // Apply folds one snapshot into the state. Reset snapshots replace the
@@ -262,12 +320,15 @@ func (s *StreamState) Apply(snap DeltaSnapshot) bool {
 		return false
 	}
 	if snap.Reset {
-		s.vals = make(map[string]DeltaPoint, len(snap.Points))
+		for _, sl := range s.all {
+			sl.held = false
+		}
 	} else if snap.Seq != s.seq+1 {
 		return false
 	}
 	for _, p := range snap.Points {
-		s.vals[p.key()] = p
+		sl := s.slot(p)
+		sl.last, sl.held = p, true
 	}
 	s.seq = snap.Seq
 	return true
@@ -287,8 +348,11 @@ func (s *StreamState) Value(name string, labels map[string]string) (float64, boo
 	if s == nil {
 		return 0, false
 	}
-	p, ok := s.vals[DeltaPoint{Name: name, Labels: labels}.key()]
-	return p.Value, ok
+	sl := s.slots[DeltaPoint{Name: name, Labels: labels}.key()]
+	if sl == nil || !sl.held {
+		return 0, false
+	}
+	return sl.last.Value, true
 }
 
 // Points returns the reconstructed state sorted by (name, labels).
@@ -296,14 +360,16 @@ func (s *StreamState) Points() []DeltaPoint {
 	if s == nil {
 		return nil
 	}
-	keys := make([]string, 0, len(s.vals))
-	for k := range s.vals {
-		keys = append(keys, k)
+	held := make([]*streamSlot, 0, len(s.all))
+	for _, sl := range s.all {
+		if sl.held {
+			held = append(held, sl)
+		}
 	}
-	sort.Strings(keys)
-	out := make([]DeltaPoint, len(keys))
-	for i, k := range keys {
-		out[i] = s.vals[k]
+	slices.SortFunc(held, func(a, b *streamSlot) int { return strings.Compare(a.key, b.key) })
+	out := make([]DeltaPoint, len(held))
+	for i, sl := range held {
+		out[i] = sl.last
 	}
 	return out
 }

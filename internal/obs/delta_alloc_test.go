@@ -1,6 +1,7 @@
 package obs_test
 
 import (
+	"runtime"
 	"testing"
 
 	"smores/internal/core"
@@ -29,6 +30,94 @@ func sessionRegistry(t testing.TB) *obs.Registry {
 		t.Fatal(err)
 	}
 	return reg
+}
+
+// sessionProfile fills a profile the way one expected-mode telemetry
+// session does: a single-app fleet run with the profile attached.
+func sessionProfile(t testing.TB) *obs.Profile {
+	t.Helper()
+	p, ok := workload.ByName("bfs")
+	if !ok {
+		t.Fatal("bfs profile missing")
+	}
+	prof := obs.NewProfile()
+	spec := report.RunSpec{
+		Policy:   memctrl.SMOREs,
+		Scheme:   core.Scheme{Specification: core.VariableCode, Detection: core.Exhaustive},
+		Accesses: 3000, Seed: 1, Profile: prof,
+	}
+	if _, err := report.RunFleetApps([]workload.Profile{p}, spec,
+		report.FleetOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	return prof
+}
+
+// allocSink keeps constructed values on the heap, as a session holds them.
+var allocSink any
+
+// bytesPerRun reports the bytes f allocates per call, averaged over runs.
+func bytesPerRun(runs int, f func()) float64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestProfileStreamSteadyStateAllocs pins the sparse profile stream: the
+// encoder and the follower start empty instead of shadowing the ~36k-cell
+// grid, an idle Next allocates nothing, and a changed Next or a Full
+// allocates only the cell slice it returns.
+func TestProfileStreamSteadyStateAllocs(t *testing.T) {
+	prof := sessionProfile(t)
+	for _, c := range []struct {
+		name  string
+		build func()
+	}{
+		{"NewProfileDeltaEncoder", func() { allocSink = obs.NewProfileDeltaEncoder(prof) }},
+		{"NewProfileStreamState", func() { allocSink = obs.NewProfileStreamState() }},
+	} {
+		if b := bytesPerRun(100, c.build); b >= 4096 {
+			t.Errorf("%s allocates %.0f B, want under 4 KB", c.name, b)
+		}
+	}
+
+	enc := obs.NewProfileDeltaEncoder(prof)
+	first, _ := enc.Next()
+	if len(first.Cells) == 0 {
+		t.Fatal("session profile has no cells")
+	}
+	rx := obs.NewProfileStreamState()
+	if !rx.Apply(first) || !obs.EqualCells(rx.Cells(), enc.Full().Cells) {
+		t.Fatal("follower diverged from the encoder")
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if _, emitted := enc.Next(); emitted {
+			t.Fatal("unchanged profile emitted")
+		}
+	}); n != 0 {
+		t.Errorf("idle Next allocates %v objects, want 0", n)
+	}
+	c := first.Cells[0]
+	if n := testing.AllocsPerRun(50, func() {
+		prof.Add(c.Phase, c.Codec, c.Wire, c.Level, c.Trans, 1, 1)
+		if snap, _ := enc.Next(); len(snap.Cells) != 1 {
+			t.Fatalf("Next carried %d cells, want 1", len(snap.Cells))
+		}
+	}); n > 1 {
+		t.Errorf("Next with changes allocates %v objects, want at most 1 (the changed cells)", n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		if len(enc.Full().Cells) != len(first.Cells) {
+			t.Fatal("Full lost cells")
+		}
+	}); n > 1 {
+		t.Errorf("Full allocates %v objects, want at most 1 (the cell slice)", n)
+	}
 }
 
 // TestDeltaEncoderSteadyStateAllocs pins the series cache: once every

@@ -134,6 +134,54 @@ func (e *oracleEncoder) full() DeltaSnapshot {
 	return snap
 }
 
+// oracleState is the stream follower that renders every applied point's
+// key into a map. StreamState must reconstruct the same points.
+type oracleState struct {
+	seq  uint64
+	vals map[string]DeltaPoint
+}
+
+func (s *oracleState) apply(snap DeltaSnapshot) bool {
+	if snap.Reset {
+		s.vals = make(map[string]DeltaPoint)
+	} else if snap.Seq != s.seq+1 {
+		return false
+	}
+	for _, p := range snap.Points {
+		s.vals[oracleKey(p)] = p
+	}
+	s.seq = snap.Seq
+	return true
+}
+
+func (s *oracleState) points() []DeltaPoint {
+	out := make([]DeltaPoint, 0, len(s.vals))
+	for _, p := range s.vals {
+		out = append(out, p)
+	}
+	sortPoints(out)
+	return out
+}
+
+// matchState applies snap to a follower and its oracle and fails unless
+// they agree on acceptance, on the reconstructed points and on the value
+// of every point the oracle holds.
+func matchState(t testing.TB, stage string, s *StreamState, o *oracleState, snap DeltaSnapshot) {
+	t.Helper()
+	if ok, want := s.Apply(snap), o.apply(snap); ok != want {
+		t.Fatalf("%s: Apply(seq %d) = %v, oracle %v", stage, snap.Seq, ok, want)
+	}
+	want := o.points()
+	if got := s.Points(); !EqualPoints(got, want) {
+		t.Fatalf("%s: follower diverged from the oracle:\ngot  %+v\nwant %+v", stage, got, want)
+	}
+	for _, p := range want {
+		if v, ok := s.Value(p.Name, p.Labels); !ok || !floats.Eq(v, p.Value) {
+			t.Fatalf("%s: Value(%s) = (%v, %v), want %v", stage, oracleKey(p), v, ok, p.Value)
+		}
+	}
+}
+
 // matchOracle emits from both encoders and fails unless the snapshots,
 // and then both full states, marshal to identical JSON.
 func matchOracle(t testing.TB, stage string, enc *DeltaEncoder, or *oracleEncoder) (DeltaSnapshot, bool) {
@@ -513,8 +561,9 @@ func checkDeltaStream(t *testing.T, data []byte) {
 	}
 	reg := NewRegistry()
 	enc, or := NewDeltaEncoder(reg), newOracleEncoder(reg)
-	rx := NewStreamState()
+	rx, orx := NewStreamState(), &oracleState{vals: map[string]DeltaPoint{}}
 	var joiner *StreamState
+	var ojoiner *oracleState
 	var bumps []func(byte)
 	for round := 0; len(data) > 0; round++ {
 		switch next() % 4 {
@@ -554,21 +603,27 @@ func checkDeltaStream(t *testing.T, data []byte) {
 				continue
 			}
 			full := enc.Full().Points
-			for _, s := range []*StreamState{rx, joiner} {
-				if s == nil {
+			for _, f := range []struct {
+				s *StreamState
+				o *oracleState
+			}{{rx, orx}, {joiner, ojoiner}} {
+				if f.s == nil {
 					continue
 				}
-				if !s.Apply(snap) {
-					t.Fatalf("%s: seq %d rejected at %d", stage, snap.Seq, s.Seq())
+				matchState(t, stage, f.s, f.o, snap)
+				if f.s.Seq() != snap.Seq {
+					t.Fatalf("%s: seq %d rejected at %d", stage, snap.Seq, f.s.Seq())
 				}
-				if !EqualPoints(s.Points(), full) {
-					t.Fatalf("%s: reconstruction diverged:\nrx  %+v\nenc %+v", stage, s.Points(), full)
+				if !EqualPoints(f.s.Points(), full) {
+					t.Fatalf("%s: reconstruction diverged:\nrx  %+v\nenc %+v", stage, f.s.Points(), full)
 				}
 			}
 		case 3: // re-join from a Reset snapshot
-			joiner = NewStreamState()
+			joiner, ojoiner = NewStreamState(), &oracleState{vals: map[string]DeltaPoint{}}
 			full := enc.Full()
-			if !joiner.Apply(full) || !EqualPoints(joiner.Points(), full.Points) {
+			matchState(t, "rejoin", joiner, ojoiner, full)
+			matchState(t, "resync", rx, orx, full)
+			if !EqualPoints(joiner.Points(), full.Points) {
 				t.Fatalf("round %d: Reset re-join diverged", round)
 			}
 		}

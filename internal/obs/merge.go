@@ -93,12 +93,7 @@ func (p *Profile) Merge(src *Profile) {
 	// attribution would have ordered them.
 	src.drain()
 	p.drain()
-	for i := range src.energy {
-		if fj := src.energy[i].Value(); fj > 0 {
-			p.energy[i].Add(fj)
-		}
-		if n := src.count[i].Load(); n > 0 {
-			p.count[i].Add(n)
-		}
+	for i := src.nextTouched(0); i < ProfileCells; i = src.nextTouched(i + 1) {
+		p.addCell(i, src.energy[i].Value(), src.count[i].Load())
 	}
 }

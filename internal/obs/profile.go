@@ -2,6 +2,8 @@ package obs
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -22,6 +24,13 @@ import (
 // goroutines (the fleet runner shares one per evaluation run).
 // Exact-mode channels feed it through symbol tallies (tally.go) that
 // every read drains first, so a read sees each finished write.
+//
+// A run touches a few cells of the grid (an expected-mode session 3 to
+// 15 of ~36k), so the profile also keeps a bitmap of the cells that ever
+// received a non-empty write. Every roll-up, snapshot, merge and stream
+// encoder walks the set bits in flat cell-index order instead of the
+// whole grid; the energy totals replay the skipped zero cells so their
+// Kahan sums keep the dense loop's bits (kahanSum.skip).
 
 // Phase classifies where on the bus an energy sample was burned.
 type Phase uint8
@@ -198,6 +207,9 @@ const (
 
 	// ProfileCells is the total cell count of the attribution table.
 	ProfileCells = NumPhases * NumProfileCodecs * profileWireDim * profileLevelDim * NumTransClasses
+
+	// profileWords sizes the touched-cell bitmap.
+	profileWords = (ProfileCells + 63) / 64
 )
 
 // Profile is the attribution table. Construct with NewProfile; the zero
@@ -205,6 +217,9 @@ const (
 type Profile struct {
 	energy []FloatCounter
 	count  []atomic.Int64
+	// touched has bit i set once cell i received a non-empty write. Bits
+	// are only ever set, and a writer sets a cell's bit before its value.
+	touched [profileWords]atomic.Uint64
 
 	// tallies are the writers' pending symbol tallies; ntallies mirrors
 	// their count so a read with none pending skips the lock.
@@ -213,8 +228,9 @@ type Profile struct {
 	ntallies atomic.Int32
 }
 
-// NewProfile builds an empty attribution profile (~0.5 MB of atomic
-// cells, shared by every channel that is handed the pointer).
+// NewProfile builds an empty attribution profile (~0.6 MB of atomic
+// cells plus a 4.5 KB touched-cell bitmap, shared by every channel that
+// is handed the pointer).
 func NewProfile() *Profile {
 	return &Profile{
 		energy: make([]FloatCounter, ProfileCells),
@@ -237,6 +253,109 @@ func cellIndex(ph Phase, codec, wire, level int, tc TransClass) int {
 		profileLevelDim + level) * NumTransClasses) + int(tc)
 }
 
+// cellCoords inverts cellIndex: the (phase, codec, wire, level, trans)
+// coordinates of flat cell index i.
+func cellCoords(i int) (ph Phase, codec, wire, level int, tc TransClass) {
+	tc = TransClass(i % NumTransClasses)
+	i /= NumTransClasses
+	level = i % profileLevelDim
+	i /= profileLevelDim
+	wire = i % profileWireDim
+	i /= profileWireDim
+	codec = i % NumProfileCodecs
+	i /= NumProfileCodecs
+	ph = Phase(i)
+	return
+}
+
+// touch sets cell i's bit. Once the bit is set a write pays one atomic
+// load; the CAS runs only while the bit is still clear.
+func (p *Profile) touch(i int) {
+	w, m := &p.touched[i>>6], uint64(1)<<(i&63)
+	for {
+		old := w.Load()
+		if old&m != 0 || w.CompareAndSwap(old, old|m) {
+			return
+		}
+	}
+}
+
+// nextTouched returns the first touched cell index >= i, or ProfileCells
+// when there is none. Walk the touched cells in flat order with
+//
+//	for i := p.nextTouched(0); i < ProfileCells; i = p.nextTouched(i + 1)
+func (p *Profile) nextTouched(i int) int {
+	if i >= ProfileCells {
+		return ProfileCells
+	}
+	w := i >> 6
+	m := p.touched[w].Load() &^ (uint64(1)<<(i&63) - 1)
+	for m == 0 {
+		if w++; w == profileWords {
+			return ProfileCells
+		}
+		m = p.touched[w].Load()
+	}
+	return w<<6 | bits.TrailingZeros64(m)
+}
+
+// addCell adds fj and n to cell i, marking it touched first; empty and
+// non-positive parts are dropped.
+//
+//smores:hotpath
+func (p *Profile) addCell(i int, fj float64, n int64) {
+	if fj > 0 || n > 0 {
+		p.touch(i)
+	}
+	if fj > 0 {
+		p.energy[i].Add(fj)
+	}
+	if n > 0 {
+		p.count[i].Add(n)
+	}
+}
+
+// kahanSum is the Kahan-compensated running sum behind every energy
+// total, so the reconciliation bound is the feeding paths' rounding,
+// not the export's.
+type kahanSum struct{ sum, comp float64 }
+
+func (k *kahanSum) add(v float64) {
+	y := v - k.comp
+	t := k.sum + y
+	k.comp = (t - k.sum) - y
+	k.sum = t
+}
+
+// skip adds n zero terms, the cells a sparse walk passes over. A zero
+// still folds the pending compensation into the sum, so the steps are
+// replayed until (sum, comp) stops changing: that fixed point, reached
+// within a few steps, is what every further zero keeps. The result has
+// the bits of a dense loop over the zeros.
+func (k *kahanSum) skip(n int) {
+	for ; n > 0; n-- {
+		prev := *k
+		k.add(0)
+		if math.Float64bits(prev.sum) == math.Float64bits(k.sum) &&
+			math.Float64bits(prev.comp) == math.Float64bits(k.comp) {
+			return
+		}
+	}
+}
+
+// energyRange is the Kahan sum of cells lo..hi-1 in flat order.
+func (p *Profile) energyRange(lo, hi int) float64 {
+	var k kahanSum
+	next := lo
+	for i := p.nextTouched(lo); i < hi; i = p.nextTouched(i + 1) {
+		k.skip(i - next)
+		k.add(p.energy[i].Value())
+		next = i + 1
+	}
+	k.skip(hi - next)
+	return k.sum
+}
+
 // Add records n symbols of fj total energy in one cell. Nil-safe,
 // lock-free, zero-allocation; out-of-range keys are dropped.
 //
@@ -245,15 +364,8 @@ func (p *Profile) Add(ph Phase, codec, wire, level int, tc TransClass, fj float6
 	if p == nil {
 		return
 	}
-	i := cellIndex(ph, codec, wire, level, tc)
-	if i < 0 {
-		return
-	}
-	if fj > 0 {
-		p.energy[i].Add(fj)
-	}
-	if n > 0 {
-		p.count[i].Add(n)
+	if i := cellIndex(ph, codec, wire, level, tc); i >= 0 {
+		p.addCell(i, fj, n)
 	}
 }
 
@@ -288,16 +400,7 @@ func (p *Profile) TotalEnergy() float64 {
 		return 0
 	}
 	p.drain()
-	// Kahan-compensated so the reconciliation bound is the feeding
-	// paths' rounding, not the export's.
-	var sum, comp float64
-	for i := range p.energy {
-		y := p.energy[i].Value() - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
-	}
-	return sum
+	return p.energyRange(0, ProfileCells)
 }
 
 // TotalSymbols sums every cell's symbol count.
@@ -307,7 +410,7 @@ func (p *Profile) TotalSymbols() int64 {
 	}
 	p.drain()
 	var n int64
-	for i := range p.count {
+	for i := p.nextTouched(0); i < ProfileCells; i = p.nextTouched(i + 1) {
 		n += p.count[i].Load()
 	}
 	return n
@@ -319,16 +422,9 @@ func (p *Profile) PhaseEnergy(ph Phase) float64 {
 		return 0
 	}
 	p.drain()
-	var sum, comp float64
 	stride := NumProfileCodecs * profileWireDim * profileLevelDim * NumTransClasses
 	base := int(ph) * stride
-	for i := base; i < base+stride; i++ {
-		y := p.energy[i].Value() - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
-	}
-	return sum
+	return p.energyRange(base, base+stride)
 }
 
 // CodecEnergy sums the cells of one codec index across phases.
@@ -337,14 +433,12 @@ func (p *Profile) CodecEnergy(codec int) float64 {
 		return 0
 	}
 	p.drain()
+	// A plain sum in flat order; skipped cells add +0, which changes no
+	// non-negative sum.
 	var sum float64
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		for wire := 0; wire < profileWireDim; wire++ {
-			for level := 0; level < profileLevelDim; level++ {
-				for tc := TransClass(0); tc < NumTransClasses; tc++ {
-					sum += p.energy[cellIndex(ph, codec, wire, level, tc)].Value()
-				}
-			}
+	for i := p.nextTouched(0); i < ProfileCells; i = p.nextTouched(i + 1) {
+		if _, c, _, _, _ := cellCoords(i); c == codec {
+			sum += p.energy[i].Value()
 		}
 	}
 	return sum
@@ -396,30 +490,22 @@ func (p *Profile) Snapshot() ProfileSnapshot {
 	}
 	p.drain()
 	var s ProfileSnapshot
-	for ph := Phase(0); ph < NumPhases; ph++ {
-		for codec := 0; codec < NumProfileCodecs; codec++ {
-			for wire := 0; wire < profileWireDim; wire++ {
-				for level := 0; level < profileLevelDim; level++ {
-					for tc := TransClass(0); tc < NumTransClasses; tc++ {
-						i := cellIndex(ph, codec, wire, level, tc)
-						fj := p.energy[i].Value()
-						n := p.count[i].Load()
-						if floats.Eq(fj, 0) && n == 0 {
-							continue
-						}
-						s.Cells = append(s.Cells, ProfileCell{
-							Phase: ph, Codec: codec, Wire: wire,
-							Level: level, Trans: tc, FJ: fj, Count: n,
-						})
-						s.TotalFJ += fj
-						s.Symbols += n
-						s.PhaseFJ[ph] += fj
-						s.CodecFJ[codec] += fj
-						s.CodecCounts[codec] += n
-					}
-				}
-			}
+	for i := p.nextTouched(0); i < ProfileCells; i = p.nextTouched(i + 1) {
+		fj := p.energy[i].Value()
+		n := p.count[i].Load()
+		if floats.Eq(fj, 0) && n == 0 {
+			continue
 		}
+		ph, codec, wire, level, tc := cellCoords(i)
+		s.Cells = append(s.Cells, ProfileCell{
+			Phase: ph, Codec: codec, Wire: wire,
+			Level: level, Trans: tc, FJ: fj, Count: n,
+		})
+		s.TotalFJ += fj
+		s.Symbols += n
+		s.PhaseFJ[ph] += fj
+		s.CodecFJ[codec] += fj
+		s.CodecCounts[codec] += n
 	}
 	return s
 }

@@ -1,16 +1,23 @@
 package obs
 
-import "smores/internal/floats"
+import (
+	"cmp"
+	"slices"
+
+	"smores/internal/floats"
+)
 
 // Delta-compressed profile streaming: the energy-attribution analogue of
 // delta.go. A ProfileDeltaEncoder watches one Profile and, on each call
 // to Next, emits only the cells whose energy or symbol count changed
 // since the previous emission — so a stream follower can reconstruct the
 // exact savings waterfall of a live session without scraping the full
-// ~36k-cell grid every tick. The reset/resync/final discipline, dense
-// sequence numbers, and absolute-value (never numeric-difference)
-// payloads mirror DeltaEncoder exactly, so the session stream can
-// interleave both snapshot kinds under one contract.
+// ~36k-cell grid every tick. Both ends are sparse: the encoder walks the
+// profile's touched-cell bitmap and holds only the cells it emitted, and
+// the follower holds only the cells it applied. The reset/resync/final
+// discipline, dense sequence numbers, and absolute-value (never
+// numeric-difference) payloads mirror DeltaEncoder exactly, so the
+// session stream can interleave both snapshot kinds under one contract.
 
 // ProfileDeltaCell is one changed attribution cell: coordinates plus the
 // absolute accumulated energy (fJ) and symbol count at emission time.
@@ -35,21 +42,6 @@ func (c ProfileDeltaCell) index() int {
 	return cellIndex(c.Phase, c.Codec, c.Wire, c.Level, c.Trans)
 }
 
-// cellCoords inverts cellIndex: the (phase, codec, wire, level, trans)
-// coordinates of flat cell index i.
-func cellCoords(i int) (ph Phase, codec, wire, level int, tc TransClass) {
-	tc = TransClass(i % NumTransClasses)
-	i /= NumTransClasses
-	level = i % profileLevelDim
-	i /= profileLevelDim
-	wire = i % profileWireDim
-	i /= profileWireDim
-	codec = i % NumProfileCodecs
-	i /= NumProfileCodecs
-	ph = Phase(i)
-	return
-}
-
 // ProfileDeltaSnapshot is one profile-stream emission: the cells that
 // changed since the previous emission (or the complete non-empty grid
 // when Reset is set, the join/resync form). The sequence discipline is
@@ -67,24 +59,23 @@ type ProfileDeltaSnapshot struct {
 // Profile. Not safe for concurrent use — one goroutine (the session
 // sampler) owns it; the profile itself may be written concurrently, as
 // emissions read its cells atomically.
+//
+// The encoder holds only the cells it has emitted, in flat cell-index
+// order. Next walks the profile's touched cells in the same order, so a
+// held cell is always the next one the walk meets; a cell it does not
+// hold has never been emitted and counts as (0, 0).
 type ProfileDeltaEncoder struct {
 	prof *Profile
 	seq  uint64
-	// Dense last-emitted shadows, indexed by flat cell index. ~850 KB
-	// per encoder; released when the owning session finishes.
-	lastFJ []float64
-	lastN  []int64
+	last []ProfileDeltaCell // emitted cells, flat order, last values
+	buf  []ProfileDeltaCell // scratch: the changed cells of one Next
 }
 
 // NewProfileDeltaEncoder builds an encoder over prof with empty prior
 // state, so the first Next emits every non-empty cell. A nil prof yields
 // an encoder that never emits.
 func NewProfileDeltaEncoder(prof *Profile) *ProfileDeltaEncoder {
-	return &ProfileDeltaEncoder{
-		prof:   prof,
-		lastFJ: make([]float64, ProfileCells),
-		lastN:  make([]int64, ProfileCells),
-	}
+	return &ProfileDeltaEncoder{prof: prof}
 }
 
 // Seq returns the sequence number of the last emission (0 before any).
@@ -95,35 +86,47 @@ func (e *ProfileDeltaEncoder) Seq() uint64 {
 	return e.seq
 }
 
-// Next scans the profile and returns the snapshot of changed cells.
-// Emitted reports whether anything changed; when false the snapshot is
-// empty and the sequence number does not advance. Cells only ever grow,
-// so a change is strictly new energy or new symbols.
+// Next walks the profile's touched cells and returns the snapshot of
+// changed cells, in flat cell-index order. Emitted reports whether
+// anything changed; when false the snapshot is empty and the sequence
+// number does not advance. Cells only ever grow, so a change is strictly
+// new energy or new symbols.
 func (e *ProfileDeltaEncoder) Next() (snap ProfileDeltaSnapshot, emitted bool) {
 	if e == nil || e.prof == nil {
 		return ProfileDeltaSnapshot{}, false
 	}
-	e.prof.drain()
-	var changed []ProfileDeltaCell
-	for i := 0; i < ProfileCells; i++ {
-		fj := e.prof.energy[i].Value()
-		n := e.prof.count[i].Load()
-		if floats.Eq(fj, e.lastFJ[i]) && n == e.lastN[i] {
+	p := e.prof
+	p.drain()
+	e.buf = e.buf[:0]
+	// held is the position in e.last of the next held cell the walk can
+	// meet; a cell emitted for the first time is inserted there.
+	held := 0
+	for i := p.nextTouched(0); i < ProfileCells; i = p.nextTouched(i + 1) {
+		fj, n := p.energy[i].Value(), p.count[i].Load()
+		if held < len(e.last) && e.last[held].index() == i {
+			c := &e.last[held]
+			held++
+			if floats.Eq(fj, c.FJ) && n == c.Count {
+				continue
+			}
+			c.FJ, c.Count = fj, n
+			e.buf = append(e.buf, *c)
 			continue
 		}
-		e.lastFJ[i] = fj
-		e.lastN[i] = n
+		if floats.Eq(fj, 0) && n == 0 {
+			continue
+		}
 		ph, codec, wire, level, tc := cellCoords(i)
-		changed = append(changed, ProfileDeltaCell{
-			Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc,
-			FJ: fj, Count: n,
-		})
+		c := ProfileDeltaCell{Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc, FJ: fj, Count: n}
+		e.last = slices.Insert(e.last, held, c)
+		held++
+		e.buf = append(e.buf, c)
 	}
-	if len(changed) == 0 {
+	if len(e.buf) == 0 {
 		return ProfileDeltaSnapshot{Seq: e.seq}, false
 	}
 	e.seq++
-	return ProfileDeltaSnapshot{Seq: e.seq, Cells: changed}, true
+	return ProfileDeltaSnapshot{Seq: e.seq, Cells: slices.Clone(e.buf)}, true
 }
 
 // Full returns the complete last-emitted state as a Reset snapshot
@@ -134,34 +137,32 @@ func (e *ProfileDeltaEncoder) Full() ProfileDeltaSnapshot {
 		return ProfileDeltaSnapshot{Reset: true}
 	}
 	snap := ProfileDeltaSnapshot{Seq: e.seq, Reset: true}
-	for i := 0; i < ProfileCells; i++ {
-		if floats.IsZero(e.lastFJ[i]) && e.lastN[i] == 0 {
-			continue
-		}
-		ph, codec, wire, level, tc := cellCoords(i)
-		snap.Cells = append(snap.Cells, ProfileDeltaCell{
-			Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc,
-			FJ: e.lastFJ[i], Count: e.lastN[i],
-		})
+	if len(e.last) > 0 {
+		snap.Cells = slices.Clone(e.last)
 	}
 	return snap
 }
 
 // ProfileStreamState reconstructs profile state on the receiving end of
 // a profile delta stream by overwrite-merging snapshots, mirroring
-// StreamState's sequence discipline.
+// StreamState's sequence discipline. It holds the applied cells in flat
+// cell-index order; every other cell reads as (0, 0).
 type ProfileStreamState struct {
-	seq uint64
-	fj  []float64
-	n   []int64
+	seq   uint64
+	cells []ProfileDeltaCell
 }
 
 // NewProfileStreamState builds an empty reconstruction.
 func NewProfileStreamState() *ProfileStreamState {
-	return &ProfileStreamState{
-		fj: make([]float64, ProfileCells),
-		n:  make([]int64, ProfileCells),
-	}
+	return &ProfileStreamState{}
+}
+
+// find returns the position of flat cell index i in s.cells, or where it
+// would be inserted, and whether it is held.
+func (s *ProfileStreamState) find(i int) (int, bool) {
+	return slices.BinarySearchFunc(s.cells, i, func(c ProfileDeltaCell, i int) int {
+		return cmp.Compare(c.index(), i)
+	})
 }
 
 // Apply folds one snapshot into the state. Reset snapshots replace the
@@ -173,10 +174,7 @@ func (s *ProfileStreamState) Apply(snap ProfileDeltaSnapshot) bool {
 		return false
 	}
 	if snap.Reset {
-		for i := range s.fj {
-			s.fj[i] = 0
-			s.n[i] = 0
-		}
+		s.cells = s.cells[:0]
 	} else if snap.Seq != s.seq+1 {
 		return false
 	}
@@ -185,8 +183,11 @@ func (s *ProfileStreamState) Apply(snap ProfileDeltaSnapshot) bool {
 		if i < 0 {
 			continue
 		}
-		s.fj[i] = c.FJ
-		s.n[i] = c.Count
+		if k, held := s.find(i); held {
+			s.cells[k].FJ, s.cells[k].Count = c.FJ, c.Count
+		} else {
+			s.cells = slices.Insert(s.cells, k, c)
+		}
 	}
 	s.seq = snap.Seq
 	return true
@@ -209,23 +210,29 @@ func (s *ProfileStreamState) Cell(ph Phase, codec, wire, level int, tc TransClas
 	if i < 0 {
 		return 0, 0
 	}
-	return s.fj[i], s.n[i]
+	if k, held := s.find(i); held {
+		return s.cells[k].FJ, s.cells[k].Count
+	}
+	return 0, 0
 }
 
-// TotalFJ sums the reconstructed cells (Kahan-compensated, matching
-// Profile.TotalEnergy's summation order over flat cell indices).
+// TotalFJ sums the reconstructed cells with Profile.TotalEnergy's Kahan
+// sum over every flat cell index, so the two agree bit for bit on the
+// same cells.
 func (s *ProfileStreamState) TotalFJ() float64 {
 	if s == nil {
 		return 0
 	}
-	var sum, comp float64
-	for i := range s.fj {
-		y := s.fj[i] - comp
-		t := sum + y
-		comp = (t - sum) - y
-		sum = t
+	var k kahanSum
+	next := 0
+	for _, c := range s.cells {
+		i := c.index()
+		k.skip(i - next)
+		k.add(c.FJ)
+		next = i + 1
 	}
-	return sum
+	k.skip(ProfileCells - next)
+	return k.sum
 }
 
 // Cells returns the reconstructed non-empty cells in flat cell-index
@@ -236,15 +243,11 @@ func (s *ProfileStreamState) Cells() []ProfileDeltaCell {
 		return nil
 	}
 	var out []ProfileDeltaCell
-	for i := range s.fj {
-		if floats.IsZero(s.fj[i]) && s.n[i] == 0 {
+	for _, c := range s.cells {
+		if floats.IsZero(c.FJ) && c.Count == 0 {
 			continue
 		}
-		ph, codec, wire, level, tc := cellCoords(i)
-		out = append(out, ProfileDeltaCell{
-			Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc,
-			FJ: s.fj[i], Count: s.n[i],
-		})
+		out = append(out, c)
 	}
 	return out
 }

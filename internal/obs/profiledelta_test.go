@@ -1,11 +1,430 @@
 package obs
 
 import (
+	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
+	"strconv"
 	"testing"
 
 	"smores/internal/floats"
 )
+
+// denseEncoderOracle is the profile delta encoder before the touched-cell
+// bitmap: dense last-emitted shadows over every flat cell index, scanned
+// in full by every next and full. ProfileDeltaEncoder must stay
+// byte-identical to it.
+type denseEncoderOracle struct {
+	prof   *Profile
+	seq    uint64
+	lastFJ []float64
+	lastN  []int64
+}
+
+func newDenseEncoderOracle(prof *Profile) *denseEncoderOracle {
+	return &denseEncoderOracle{prof: prof,
+		lastFJ: make([]float64, ProfileCells), lastN: make([]int64, ProfileCells)}
+}
+
+func (e *denseEncoderOracle) next() (ProfileDeltaSnapshot, bool) {
+	e.prof.drain()
+	var changed []ProfileDeltaCell
+	for i := 0; i < ProfileCells; i++ {
+		fj := e.prof.energy[i].Value()
+		n := e.prof.count[i].Load()
+		if floats.Eq(fj, e.lastFJ[i]) && n == e.lastN[i] {
+			continue
+		}
+		e.lastFJ[i], e.lastN[i] = fj, n
+		ph, codec, wire, level, tc := cellCoords(i)
+		changed = append(changed, ProfileDeltaCell{
+			Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc, FJ: fj, Count: n,
+		})
+	}
+	if len(changed) == 0 {
+		return ProfileDeltaSnapshot{Seq: e.seq}, false
+	}
+	e.seq++
+	return ProfileDeltaSnapshot{Seq: e.seq, Cells: changed}, true
+}
+
+func (e *denseEncoderOracle) full() ProfileDeltaSnapshot {
+	snap := ProfileDeltaSnapshot{Seq: e.seq, Reset: true}
+	for i := 0; i < ProfileCells; i++ {
+		if floats.IsZero(e.lastFJ[i]) && e.lastN[i] == 0 {
+			continue
+		}
+		ph, codec, wire, level, tc := cellCoords(i)
+		snap.Cells = append(snap.Cells, ProfileDeltaCell{
+			Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc,
+			FJ: e.lastFJ[i], Count: e.lastN[i],
+		})
+	}
+	return snap
+}
+
+// denseStateOracle is the profile stream follower before the sparse
+// cell slice: one dense array pair over every flat cell index.
+type denseStateOracle struct {
+	seq uint64
+	fj  []float64
+	n   []int64
+}
+
+func newDenseStateOracle() *denseStateOracle {
+	return &denseStateOracle{fj: make([]float64, ProfileCells), n: make([]int64, ProfileCells)}
+}
+
+func (s *denseStateOracle) apply(snap ProfileDeltaSnapshot) bool {
+	if snap.Reset {
+		clear(s.fj)
+		clear(s.n)
+	} else if snap.Seq != s.seq+1 {
+		return false
+	}
+	for _, c := range snap.Cells {
+		if i := c.index(); i >= 0 {
+			s.fj[i], s.n[i] = c.FJ, c.Count
+		}
+	}
+	s.seq = snap.Seq
+	return true
+}
+
+func (s *denseStateOracle) totalFJ() float64 { return denseKahan(s.fj) }
+
+func (s *denseStateOracle) cells() []ProfileDeltaCell {
+	var out []ProfileDeltaCell
+	for i := range s.fj {
+		if floats.IsZero(s.fj[i]) && s.n[i] == 0 {
+			continue
+		}
+		ph, codec, wire, level, tc := cellCoords(i)
+		out = append(out, ProfileDeltaCell{
+			Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc, FJ: s.fj[i], Count: s.n[i],
+		})
+	}
+	return out
+}
+
+// denseKahan is the Kahan sum over every value, zeros included.
+func denseKahan(vs []float64) float64 {
+	var sum, comp float64
+	for _, v := range vs {
+		y := v - comp
+		t := sum + y
+		comp = (t - sum) - y
+		sum = t
+	}
+	return sum
+}
+
+// denseEnergies reads every cell's energy, as the dense readers did.
+func denseEnergies(p *Profile) []float64 {
+	p.drain()
+	out := make([]float64, ProfileCells)
+	for i := range out {
+		out[i] = p.energy[i].Value()
+	}
+	return out
+}
+
+// denseSnapshot is Profile.Snapshot over every flat cell index.
+func denseSnapshot(p *Profile) ProfileSnapshot {
+	p.drain()
+	var s ProfileSnapshot
+	for i := 0; i < ProfileCells; i++ {
+		fj, n := p.energy[i].Value(), p.count[i].Load()
+		if floats.Eq(fj, 0) && n == 0 {
+			continue
+		}
+		ph, codec, wire, level, tc := cellCoords(i)
+		s.Cells = append(s.Cells, ProfileCell{Phase: ph, Codec: codec, Wire: wire,
+			Level: level, Trans: tc, FJ: fj, Count: n})
+		s.TotalFJ += fj
+		s.Symbols += n
+		s.PhaseFJ[ph] += fj
+		s.CodecFJ[codec] += fj
+		s.CodecCounts[codec] += n
+	}
+	return s
+}
+
+// sameBits reports bit identity, telling -0 from +0.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// mustJSON marshals v or fails the test.
+func mustJSON(t testing.TB, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// checkProfileReaders holds every sparse Profile reader bit-identical to
+// its dense loop.
+func checkProfileReaders(t testing.TB, stage string, p *Profile) {
+	t.Helper()
+	energies := denseEnergies(p)
+	if got, want := p.TotalEnergy(), denseKahan(energies); !sameBits(got, want) {
+		t.Fatalf("%s: TotalEnergy %v, dense %v", stage, got, want)
+	}
+	stride := ProfileCells / NumPhases
+	for ph := Phase(0); ph < NumPhases; ph++ {
+		want := denseKahan(energies[int(ph)*stride : int(ph+1)*stride])
+		if got := p.PhaseEnergy(ph); !sameBits(got, want) {
+			t.Fatalf("%s: PhaseEnergy(%v) %v, dense %v", stage, ph, got, want)
+		}
+	}
+	want := denseSnapshot(p)
+	if got := p.Snapshot(); !bytes.Equal(mustJSON(t, got), mustJSON(t, want)) {
+		t.Fatalf("%s: Snapshot diverged from the dense scan:\ngot  %+v\nwant %+v", stage, got, want)
+	}
+	if got := p.TotalSymbols(); got != want.Symbols {
+		t.Fatalf("%s: TotalSymbols %d, dense %d", stage, got, want.Symbols)
+	}
+	var codecFJ [NumProfileCodecs]float64
+	for i, e := range energies {
+		_, c, _, _, _ := cellCoords(i)
+		codecFJ[c] += e
+	}
+	for codec, want := range codecFJ {
+		if got := p.CodecEnergy(codec); !sameBits(got, want) {
+			t.Fatalf("%s: CodecEnergy(%d) %v, dense %v", stage, codec, got, want)
+		}
+	}
+}
+
+// checkStateOracle holds a sparse follower bit-identical to its dense
+// oracle: sequence, cells, total and every probed cell.
+func checkStateOracle(t testing.TB, stage string, s *ProfileStreamState, o *denseStateOracle, probe []int) {
+	t.Helper()
+	if s.Seq() != o.seq {
+		t.Fatalf("%s: seq %d, oracle %d", stage, s.Seq(), o.seq)
+	}
+	if got, want := mustJSON(t, s.Cells()), mustJSON(t, o.cells()); !bytes.Equal(got, want) {
+		t.Fatalf("%s: Cells diverged:\ngot  %s\nwant %s", stage, got, want)
+	}
+	if got, want := s.TotalFJ(), o.totalFJ(); !sameBits(got, want) {
+		t.Fatalf("%s: TotalFJ %v, oracle %v", stage, got, want)
+	}
+	for _, i := range probe {
+		fj, n := s.Cell(cellCoords(i))
+		if !sameBits(fj, o.fj[i]) || n != o.n[i] {
+			t.Fatalf("%s: Cell(%d) = (%v, %d), oracle (%v, %d)", stage, i, fj, n, o.fj[i], o.n[i])
+		}
+	}
+}
+
+// profileEdgeCells are flat indices at the ends of the grid and of
+// bitmap words.
+var profileEdgeCells = []int{0, 1, 62, 63, 64, 65, 127, 128, 4095, 4096,
+	(profileWords-1)*64 - 1, (profileWords - 1) * 64, ProfileCells - 2, ProfileCells - 1}
+
+// checkProfileStream drives one profile through an operation stream read
+// from data — eager adds, aggregates, merges, symbol tallies, emissions,
+// dropped emissions, late joins and hand-built snapshots — and holds the
+// sparse encoder, followers and readers to their dense oracles at every
+// emission. Each emission scans the dense grid several times, so the
+// caller bounds len(data).
+func checkProfileStream(t testing.TB, data []byte) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	var used []int
+	cell := func() int {
+		var i int
+		switch b := next(); {
+		case b < 64:
+			i = profileEdgeCells[int(b)%len(profileEdgeCells)]
+		case b < 160 && len(used) > 0:
+			return used[int(b)%len(used)]
+		default:
+			i = (int(b)<<8 | int(next())) * 7 % ProfileCells
+		}
+		used = append(used, i)
+		return i
+	}
+	// energy spans 48 binary orders of magnitude, so sums round and the
+	// Kahan compensation carries real bits; 0 makes a count-only write.
+	energy := func() float64 {
+		m, e := next(), next()
+		if m == 0 {
+			return 0
+		}
+		return math.Ldexp(float64(m)+0.1, int(e%48)-24)
+	}
+
+	p := NewProfile()
+	enc, or := NewProfileDeltaEncoder(p), newDenseEncoderOracle(p)
+	rx, orx := NewProfileStreamState(), newDenseStateOracle()
+	var joiner *ProfileStreamState
+	var ojoiner *denseStateOracle
+	free, ofree := NewProfileStreamState(), newDenseStateOracle()
+	var tally *SymbolTally
+	owner := new(int)
+	levelE := [ProfileLevels]float64{0, 0.1, 0.7, 1.3}
+
+	emit := func(stage string, deliver bool) {
+		snap, emitted := enc.Next()
+		want, wantEmitted := or.next()
+		if got, exp := mustJSON(t, snap), mustJSON(t, want); emitted != wantEmitted || !bytes.Equal(got, exp) {
+			t.Fatalf("%s: Next diverged from the dense oracle:\ngot  %v %s\nwant %v %s", stage, emitted, got, wantEmitted, exp)
+		}
+		full := enc.Full()
+		if got, exp := mustJSON(t, full), mustJSON(t, or.full()); !bytes.Equal(got, exp) {
+			t.Fatalf("%s: Full diverged from the dense oracle:\ngot  %s\nwant %s", stage, got, exp)
+		}
+		checkProfileReaders(t, stage, p)
+		if !emitted || !deliver {
+			return
+		}
+		for _, pair := range []struct {
+			s *ProfileStreamState
+			o *denseStateOracle
+		}{{rx, orx}, {joiner, ojoiner}} {
+			if pair.s == nil {
+				continue
+			}
+			ok := pair.s.Apply(snap)
+			if ok != pair.o.apply(snap) {
+				t.Fatalf("%s: Apply(seq %d) = %v disagrees with the oracle", stage, snap.Seq, ok)
+			}
+			if !ok { // a dropped emission before: resync
+				pair.s.Apply(full)
+				pair.o.apply(full)
+			}
+			checkStateOracle(t, stage, pair.s, pair.o, used)
+			if !EqualCells(pair.s.Cells(), full.Cells) {
+				t.Fatalf("%s: follower diverged from Full", stage)
+			}
+		}
+	}
+
+	for round := 0; len(data) > 0; round++ {
+		stage := "round " + strconv.Itoa(round)
+		switch next() % 8 {
+		case 0: // eager add
+			ph, codec, wire, level, tc := cellCoords(cell())
+			p.Add(ph, codec, wire, level, tc, energy(), int64(next()%3))
+		case 1: // closed-form aggregate
+			p.AddAggregate(Phase(next()%NumPhases), int(next()%NumProfileCodecs), energy(), int64(next()%3))
+		case 2: // roll-up merge
+			src := NewProfile()
+			for k := next() % 4; k > 0; k-- {
+				ph, codec, wire, level, tc := cellCoords(cell())
+				src.Add(ph, codec, wire, level, tc, energy(), int64(next()%3))
+			}
+			p.Merge(src)
+		case 3: // symbol tally batch
+			tally = p.BeginTally(tally, owner, levelE, 0.3)
+			ph, codec := Phase(next()%NumPhases), int(next()%NumProfileCodecs)
+			wire, level, tc := int(next()%ProfileWires), int(next()%ProfileLevels), TransClass(next()%uint8(TallyClasses))
+			k := int32(next()%5) + 1
+			tally.Slot(ph, codec)[wire][TallyCell(level, tc)] += k
+			p.EndTally(tally, owner, int(k))
+		case 4:
+			emit(stage, true)
+		case 5: // an emission the followers never see
+			emit(stage, false)
+		case 6: // late join from Full
+			joiner, ojoiner = NewProfileStreamState(), newDenseStateOracle()
+			full := enc.Full()
+			if !joiner.Apply(full) || !ojoiner.apply(full) {
+				t.Fatalf("%s: Reset join rejected", stage)
+			}
+			checkStateOracle(t, stage, joiner, ojoiner, used)
+		case 7: // a hand-built snapshot: any order, duplicates, signed
+			// zeros, negative values and out-of-range coordinates
+			snap := ProfileDeltaSnapshot{Seq: free.Seq() + 1, Reset: next()%4 == 0}
+			if next()%8 == 0 {
+				snap.Seq += 2
+			}
+			for k := next() % 6; k > 0; k-- {
+				ph, codec, wire, level, tc := cellCoords(cell())
+				c := ProfileDeltaCell{Phase: ph, Codec: codec, Wire: wire, Level: level, Trans: tc,
+					FJ: energy(), Count: int64(next() % 3)}
+				switch next() % 8 {
+				case 0:
+					c.FJ = math.Copysign(0, -1)
+				case 1:
+					c.FJ = -c.FJ
+				case 2:
+					c.Wire = profileWireDim + 1
+				}
+				snap.Cells = append(snap.Cells, c)
+			}
+			if ok := free.Apply(snap); ok != ofree.apply(snap) {
+				t.Fatalf("%s: hand-built Apply = %v disagrees with the oracle", stage, ok)
+			}
+			checkStateOracle(t, stage, free, ofree, used)
+		}
+	}
+	emit("final", true)
+}
+
+// TestProfileStreamMatchesOracle holds the sparse encoder, follower and
+// Profile readers byte- and bit-identical to the dense ones over long
+// pseudo-random operation streams.
+func TestProfileStreamMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	for run := 0; run < 6; run++ {
+		data := make([]byte, 1500)
+		rng.Read(data)
+		checkProfileStream(t, data)
+	}
+}
+
+// FuzzProfileStream is TestProfileStreamMatchesOracle over fuzzed
+// operation streams.
+func FuzzProfileStream(f *testing.F) {
+	// Writes to cell 0, the last cell and both ends of bitmap words,
+	// emitted, dropped, joined late and merged.
+	f.Add([]byte{0, 0, 1, 1, 0, 0, 13, 5, 9, 2, 4, 0, 3, 2, 1, 0, 7, 200, 4, 6, 4})
+	f.Add([]byte{0, 3, 9, 4, 1, 0, 4, 7, 30, 1, 4, 5, 0, 4, 1, 2, 4, 2, 3, 0, 10, 20, 1, 4, 6, 4, 3, 2, 1, 0, 3, 1, 2, 4})
+	f.Add([]byte{2, 3, 0, 1, 1, 1, 11, 9, 2, 1, 12, 200, 1, 2, 4, 3, 6, 1, 3, 0, 2, 4, 7, 1, 4, 3, 5, 7, 1, 4, 1, 2, 4, 6, 5, 4, 4})
+	f.Add([]byte{7, 0, 3, 0, 1, 1, 0, 0, 0, 13, 250, 1, 1, 7, 200, 1, 7, 9, 1, 3, 0, 5, 6, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 256 {
+			data = data[:256]
+		}
+		checkProfileStream(t, data)
+	})
+}
+
+// TestKahanSkipMatchesDenseZeros pins the zero-run replay: from any
+// (sum, comp) state, skip(n) lands on the bits of n dense zero steps.
+func TestKahanSkipMatchesDenseZeros(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20000; trial++ {
+		sum := math.Ldexp(rng.Float64()+0.5, rng.Intn(80)-40)
+		ulp := math.Nextafter(sum, math.Inf(1)) - sum
+		comp := (rng.Float64() - 0.5) * ulp * float64(1+rng.Intn(3))
+		if trial%7 == 0 {
+			comp = ulp / 2 // a tie: the first zero step moves the sum
+		}
+		for _, n := range []int{0, 1, 2, 3, 17} {
+			k := kahanSum{sum, comp}
+			k.skip(n)
+			want := kahanSum{sum, comp}
+			for i := 0; i < n; i++ {
+				want.add(0)
+			}
+			if !sameBits(k.sum, want.sum) || !sameBits(k.comp, want.comp) {
+				t.Fatalf("skip(%d) from (%v, %v) = (%v, %v), dense (%v, %v)",
+					n, sum, comp, k.sum, k.comp, want.sum, want.comp)
+			}
+		}
+	}
+}
 
 // TestProfileDeltaRoundTrip is the profile-streaming correctness gate:
 // at every emission point, a receiver that applied the delta sequence

@@ -120,10 +120,11 @@ func (s *Session) Progress() *obs.Progress {
 }
 
 // Profile returns the session's energy-attribution profile, allocating
-// it on first use. The grid is ~0.8 MB of atomic cells, so thousands of
-// queued sessions must not each hold one before they run — the run path
-// and the per-session /profile scrape allocate it, roll-ups use
-// profileLoaded and treat never-run sessions as nil (inert merges).
+// it on first use. The grid is ~0.6 MB of atomic cells, the only dense
+// copy a session holds, so thousands of queued sessions must not each
+// hold one before they run — the run path and the per-session /profile
+// scrape allocate it, roll-ups use profileLoaded and treat never-run
+// sessions as nil (inert merges).
 func (s *Session) Profile() *obs.Profile {
 	if s == nil {
 		return nil
@@ -402,9 +403,10 @@ func (s *Session) emit() {
 // however far behind — converges on exactly the final values. The
 // profile final precedes the counter final, so an ?include=profile
 // follower has both by the time the counter Final terminates its
-// stream. Afterwards the encoders (the profile one shadows the whole
-// ~0.8 MB cell grid) are released — retained finished sessions keep
-// only their registry, profile, and cached full snapshots.
+// stream. Afterwards the encoders are released — retained finished
+// sessions keep only their registry, profile, and cached full
+// snapshots. The profile encoder holds just the cells it emitted, so
+// the profile grid is the one dense structure left.
 func (s *Session) finalize() {
 	s.emit()
 	if s.penc != nil {

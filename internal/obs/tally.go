@@ -124,6 +124,7 @@ func (t *SymbolTally) fold(p *Profile) {
 						e = t.postE
 					}
 					i := cellIndex(Phase(ph), codec, wire, level, tc)
+					p.touch(i)
 					p.energy[i].addRepeated(e, int64(n))
 					p.count[i].Add(int64(n))
 					s[wire][cell] = 0
